@@ -3,7 +3,7 @@
 The public entry point is :func:`build_host`, which assembles a
 simulated machine running one of the four kernels the paper evaluates
 (:class:`Architecture`).  The cost calibration shared by every
-experiment lives in :mod:`repro.core.costs`.
+experiment lives in :mod:`repro.host.costs` and is re-exported here.
 """
 
 from repro.core.app_thread import AppProcessor
@@ -15,7 +15,7 @@ from repro.core.architecture import (
     build_host,
 )
 from repro.core.bsd_stack import BsdStack
-from repro.core.costs import DEFAULT_COSTS, CostModel
+from repro.host.costs import DEFAULT_COSTS, CostModel
 from repro.core.early_demux import EarlyDemuxStack
 from repro.core.forwarding import (
     ForwardingDaemon,

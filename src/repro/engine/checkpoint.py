@@ -82,7 +82,7 @@ class Checkpoint:
 
     ``handles`` is owned by the transport that produced it — an opaque
     sequence the supervisor passes back to
-    ``transport_class.from_snapshot``; ``None`` marks a logical
+    ``_ProcessTransport.from_snapshot``; ``None`` marks a logical
     checkpoint (restore must replay from the origin instead).
     """
 

@@ -59,20 +59,29 @@ is no freedom at all: the engine builds the identical unsharded world
 and the raw order-sensitive digest is byte-identical to the golden
 traces.
 
-Two transports execute the same round protocol: ``inline`` drives all
-shard runtimes in-process (messages still make a pickle round-trip, so
-it is a faithful — and debuggable — model of process mode), and
-``process`` forks one worker per shard and speaks a small tuple
-protocol over pipes.  See docs/PDES.md for the full contract and a
-worked example.
+One round driver (:func:`_drive`) runs the protocol over either of two
+transports: ``inline`` drives all shard runtimes in-process (messages
+still make a pickle round-trip, so it is a faithful — and debuggable —
+model of process mode), and ``process`` forks one worker per shard and
+speaks a small tuple protocol over pipes.  Supervised runs
+(:mod:`repro.engine.supervisor`) use the same driver, transports and
+workers; supervision attaches through hooks — reply deadlines and
+chaos directives on the transport, snapshot forks, and a per-round
+driver hook for checkpoint barriers — that plain runs leave unset.
+See docs/PDES.md for the full contract and a worked example.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import pickle
+import signal
 import time
+import traceback
+from multiprocessing import reduction
+from multiprocessing.connection import Connection
 from typing import (
     Any,
     Dict,
@@ -305,24 +314,168 @@ class _ShardRuntime:
 
 
 # ----------------------------------------------------------------------
+# Workers
+# ----------------------------------------------------------------------
+def _relay(conn, exc: BaseException) -> None:
+    """Send *exc* and its traceback to the coordinator, if the pipe is
+    still open."""
+    try:
+        conn.send(("error", f"{exc!r}\n{traceback.format_exc()}"))
+    except (BrokenPipeError, OSError):  # pragma: no cover
+        pass
+
+
+def _worker_main(conn, program: ShardProgram, index: int) -> None:
+    """Worker process entry: build the shard, then serve round
+    requests until told to finish."""
+    if hasattr(signal, "SIGCHLD"):
+        # Snapshot children are reaped automatically; a worker never
+        # waits on them.
+        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        runtime = _ShardRuntime(program, index)
+        conn.send(("ready", runtime.next_event()))
+        _serve(conn, runtime)
+    except Exception as exc:  # noqa: BLE001 - relayed to coordinator
+        _relay(conn, exc)
+    finally:
+        conn.close()
+
+
+def _serve(conn, runtime: _ShardRuntime) -> None:
+    """The worker op loop.  Runs in the original worker and again,
+    verbatim, in any activated snapshot child.
+
+    A step request may carry a chaos directive ``(kind, magnitude,
+    label)`` (:mod:`repro.faults.chaos`): ``kill`` exits at once,
+    ``stall`` sleeps once, ``slow`` sleeps on every later step."""
+    slow = 0.0
+    while True:
+        request = conn.recv()
+        op = request[0]
+        if op == "step":
+            directive = request[3]
+            if directive is not None:
+                if directive[0] == "kill":
+                    os._exit(137)
+                elif directive[0] == "stall":
+                    time.sleep(directive[1])
+                else:
+                    slow = directive[1]
+            if slow:
+                time.sleep(slow)
+            ne, finished, outbox = runtime.step_with(request[1],
+                                                     request[2])
+            conn.send(("stepped", ne, finished, outbox))
+        elif op == "snapshot":
+            # The coordinator passes a fresh pipe end over the control
+            # connection; fork a dormant copy-on-write child that owns
+            # it.  If the checkpoint is ever restored, the child wakes
+            # up as the new worker with the shard exactly as it was.
+            snap = Connection(reduction.recv_handle(conn))
+            pid = os.fork()
+            if pid == 0:
+                conn.close()
+                _await_activation(snap, runtime)  # never returns
+            snap.close()
+            conn.send(("snapshotted", pid))
+        elif op == "finish":
+            conn.send(("done", runtime.finish(request[1])))
+            return
+        else:  # pragma: no cover - defensive
+            raise ShardSyncError(f"unknown op {op!r}")
+
+
+def _await_activation(conn, runtime: _ShardRuntime) -> None:
+    """Snapshot-child limbo: block until activated or discarded.
+    Always exits the process; it must never fall back into the
+    parent's stack."""
+    status = 0
+    try:
+        try:
+            request = conn.recv()
+        except (EOFError, OSError):
+            request = ("discard",)
+        if request[0] == "activate":
+            try:
+                # Handshake: prove liveness and let the coordinator
+                # verify the restored state against the checkpoint.
+                conn.send(("ready", runtime.next_event()))
+                _serve(conn, runtime)
+            except (EOFError, BrokenPipeError, OSError):
+                status = 1
+            except Exception as exc:  # noqa: BLE001 - relayed
+                status = 1
+                _relay(conn, exc)
+    finally:
+        try:
+            conn.close()
+        except OSError:
+            pass
+        os._exit(status)
+
+
+# ----------------------------------------------------------------------
 # Transports
 # ----------------------------------------------------------------------
+class _WorkerFailure(ShardSyncError):
+    """One shard failed one protocol exchange.  ``kind`` is
+    ``"crash"``, ``"hang"``, ``"error"`` (a relayed exception),
+    ``"chaos-kill"`` or ``"restore-mismatch"``."""
+
+    def __init__(self, shard: Optional[int], kind: str,
+                 detail: str = "") -> None:
+        super().__init__(f"shard {shard} {kind}: {detail}")
+        self.shard = shard
+        self.kind = kind
+        self.detail = detail
+
+
 def _roundtrip(messages: Sequence[Tuple]) -> List[Tuple]:
     """Pickle round-trip, so inline mode ships frames with exactly the
     copy semantics of process mode (fresh objects, no shared state)."""
     return pickle.loads(pickle.dumps(messages))
 
 
-class _InlineTransport:
+class _Transport:
+    """What the round driver talks to: ``ready()``, ``step(grants,
+    pending)`` (one reply per stepped shard, ``None`` for the rest),
+    ``finish(leftovers)``, ``snapshot()`` and ``close()``.
+
+    The supervision hooks default to off, so a plain run blocks on
+    every reply.  A supervisor sets them on a fresh transport:
+    ``soft``/``hard`` reply deadlines in wall seconds (a missed soft
+    one calls ``on_slow(shard)``), and ``directive_for(shard)``, whose
+    chaos directive rides each step request actually sent.
+    """
+
+    soft: Optional[float] = None
+    hard: Optional[float] = None
+    on_slow = None
+    directive_for = None
+    #: Wall-clock seconds spent serializing cross-shard frames
+    #: (surfaced in the sync stats; never part of the deterministic
+    #: subset).
+    serialization_sec = 0.0
+
+    def snapshot(self, hard: Optional[float] = None):
+        """Per-shard snapshot handles, or ``None`` when the transport
+        cannot fork (the checkpoint is then logical only)."""
+        return None
+
+    def close(self) -> None:
+        pass
+
+
+class _InlineTransport(_Transport):
     """All shard runtimes in this process; the debuggable transport,
-    and the only one the one-shard fast path needs."""
+    and the only one the one-shard fast path needs.  There is no
+    process to hang or to snapshot: deadlines do not apply, a chaos
+    ``kill`` fails the shard on the spot (the supervisor then replays
+    from the origin), and stall/slow become coordinator-side sleeps."""
 
     def __init__(self, program: ShardProgram) -> None:
         self.batch = program.batch
-        #: Wall-clock seconds spent serializing cross-shard frames
-        #: (surfaced in the sync stats; never part of the
-        #: deterministic subset).
-        self.serialization_sec = 0.0
         self.runtimes = [_ShardRuntime(program, i)
                          for i in range(program.partition.shards)]
 
@@ -342,67 +495,126 @@ class _InlineTransport:
         return [rt.next_event() for rt in self.runtimes]
 
     def step(self, grants, pending):
-        replies = []
-        for rt, grant, messages in zip(self.runtimes, grants, pending):
+        replies: List[Optional[Tuple]] = [None] * len(self.runtimes)
+        for index, (rt, grant, messages) in enumerate(
+                zip(self.runtimes, grants, pending)):
             if grant is None and not messages:
-                # Placeholder for a shard the coordinator did not
-                # step (finished, or skipped while idle).  The driver
-                # must ignore it — absorbing it would wrongly mark a
-                # skipped shard finished.
-                replies.append((_INF, True, []))
-                continue
-            replies.append(rt.step_with(
-                grant, self._ship(messages) if messages else []))
+                continue  # not stepped this round
+            if self.directive_for is not None:
+                directive = self.directive_for(index)
+                if directive is not None:
+                    if directive[0] == "kill":
+                        raise _WorkerFailure(
+                            index, "chaos-kill",
+                            "inline shard killed by chaos directive")
+                    time.sleep(directive[1])
+            replies[index] = rt.step_with(
+                grant, self._ship(messages) if messages else [])
         return replies
 
-    def finish(self, leftovers):
+    def finish(self, leftovers, hard: Optional[float] = None):
         return [rt.finish(self._ship(msgs) if msgs else [])
                 for rt, msgs in zip(self.runtimes, leftovers)]
 
-    def close(self) -> None:
-        pass
+
+def _reap(proc, timeout: float) -> bool:
+    """Wait for a worker ``Process`` to exit; True when it did.
+
+    Deliberately NOT ``proc.join(timeout)``: a timed join waits on the
+    process *sentinel* pipe, and the write end of that pipe is
+    inherited by every dormant snapshot child the worker forked — so
+    the sentinel stays silent long after the worker itself is a
+    zombie, and a timed join burns its full timeout.  ``is_alive()``
+    polls with ``waitpid(WNOHANG)``, which both sees and reaps the
+    zombie immediately regardless of who still holds the sentinel.
+    """
+    if proc is None:
+        return True
+    deadline = time.monotonic() + timeout
+    delay = 0.0005
+    while proc.is_alive():
+        if time.monotonic() >= deadline:  # pragma: no cover
+            return False
+        time.sleep(delay)
+        delay = min(delay * 2, 0.05)
+    return True
 
 
-def _worker_main(conn, program: ShardProgram, index: int) -> None:
-    """Worker process entry: build the shard, then serve round
-    requests until told to finish."""
-    try:
-        runtime = _ShardRuntime(program, index)
-        conn.send(("ready", runtime.next_event()))
-        while True:
-            request = conn.recv()
-            op = request[0]
-            if op == "step":
-                ne, finished, outbox = runtime.step_with(request[1],
-                                                         request[2])
-                conn.send(("stepped", ne, finished, outbox))
-            elif op == "finish":
-                conn.send(("done", runtime.finish(request[1])))
-                return
-            else:  # pragma: no cover - defensive
-                raise ShardSyncError(f"unknown op {op!r}")
-    except Exception as exc:  # noqa: BLE001 - relayed to coordinator
-        import traceback
+class _WorkerRef:
+    """One live worker: its pipe, pid, and — for original workers —
+    the Process object.  Activated snapshot children have no Process
+    (they are grandchildren); liveness falls back to
+    ``os.kill(pid, 0)``."""
+
+    __slots__ = ("conn", "pid", "proc")
+
+    def __init__(self, conn, pid: int, proc) -> None:
+        self.conn = conn
+        self.pid = pid
+        self.proc = proc
+
+    def alive(self) -> bool:
+        if self.proc is not None:
+            return self.proc.is_alive()
         try:
-            conn.send(("error",
-                       f"{exc!r}\n{traceback.format_exc()}"))
-        except (BrokenPipeError, OSError):  # pragma: no cover
+            os.kill(self.pid, 0)
+        except (ProcessLookupError, PermissionError):
+            return False
+        return True
+
+    def kill(self) -> None:
+        if self.proc is not None:
+            self.proc.kill()
+            return
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+        except (ProcessLookupError, PermissionError):
             pass
-    finally:
-        conn.close()
 
 
-class _ProcessTransport:
+class _SnapshotHandle:
+    """Coordinator's end of one dormant snapshot child."""
+
+    __slots__ = ("conn", "pid")
+
+    def __init__(self, conn, pid: int) -> None:
+        self.conn = conn
+        self.pid = pid
+
+    def activate(self):
+        self.conn.send(("activate",))
+        return self.conn
+
+    def discard(self) -> None:
+        try:
+            self.conn.send(("discard",))
+        except (BrokenPipeError, OSError):
+            pass
+        try:
+            self.conn.close()
+        except OSError:
+            pass
+
+
+class _ProcessTransport(_Transport):
     """One forked worker per shard, a pipe each; the parallel
-    transport that buys wall-clock on multi-core machines."""
+    transport that buys wall-clock on multi-core machines.  Every
+    failed exchange raises :class:`_WorkerFailure`; a worker that
+    misses the hard deadline while still alive is SIGKILLed (hung),
+    so a restore cannot race its late reply."""
+
+    #: Whether :meth:`snapshot` can fork resumable checkpoints.
+    can_snapshot = ("fork" in multiprocessing.get_all_start_methods()
+                    and hasattr(os, "fork"))
+    #: Set once the finish exchange completed: the workers are then
+    #: exiting on their own and :meth:`close` need not kill them.
+    _done = False
 
     def __init__(self, program: ShardProgram) -> None:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
-        self.serialization_sec = 0.0
-        self.conns = []
-        self.procs = []
+        self._workers: List[_WorkerRef] = []
         try:
             for index in range(program.partition.shards):
                 parent, child = ctx.Pipe()
@@ -411,60 +623,147 @@ class _ProcessTransport:
                                    daemon=True)
                 proc.start()
                 child.close()
-                self.conns.append(parent)
-                self.procs.append(proc)
+                self._workers.append(_WorkerRef(parent, proc.pid,
+                                                proc))
         except Exception:
             self.close()
             raise
 
-    def _recv(self, index: int):
+    @classmethod
+    def from_snapshot(cls, handles: List[_SnapshotHandle]
+                      ) -> "_ProcessTransport":
+        """Activate a checkpoint's dormant children as the new worker
+        set.  Takes ownership of *handles*: on failure the unconsumed
+        ones are discarded."""
+        self = cls.__new__(cls)
+        self._workers = []
+        for position, handle in enumerate(handles):
+            try:
+                conn = handle.activate()
+            except (BrokenPipeError, OSError) as exc:
+                for leftover in handles[position + 1:]:
+                    leftover.discard()
+                self.close()
+                raise _WorkerFailure(
+                    position, "crash",
+                    f"snapshot child gone: {exc!r}") from None
+            self._workers.append(_WorkerRef(conn, handle.pid, None))
+        return self
+
+    def _send(self, index: int, payload) -> None:
         try:
-            reply = self.conns[index].recv()
-        except EOFError as exc:
-            raise ShardSyncError(
-                f"shard {index} worker died without a reply") from exc
+            self._workers[index].conn.send(payload)
+        except (BrokenPipeError, OSError) as exc:
+            raise _WorkerFailure(index, "crash",
+                                 f"send failed: {exc!r}") from None
+
+    def _poll(self, index: int, hard: float) -> bool:
+        """Wait up to *hard* seconds for a reply from shard *index*,
+        reporting a missed soft deadline on the way; False on
+        timeout."""
+        conn = self._workers[index].conn
+        soft = self.soft
+        if soft is not None and soft < hard:
+            if conn.poll(soft):
+                return True
+            if self.on_slow is not None:
+                self.on_slow(index)
+            hard -= soft
+        return conn.poll(hard)
+
+    def _recv(self, index: int, hard: Optional[float] = None):
+        ref = self._workers[index]
+        if hard is not None and not self._poll(index, hard):
+            if ref.alive():
+                ref.kill()
+                raise _WorkerFailure(index, "hang",
+                                     f"no reply within {hard}s (alive)")
+            raise _WorkerFailure(index, "crash",
+                                 f"no reply within {hard}s (dead)")
+        try:
+            reply = ref.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise _WorkerFailure(index, "crash",
+                                 f"pipe closed: {exc!r}") from None
         if reply[0] == "error":
-            raise ShardSyncError(f"shard {index} failed:\n{reply[1]}")
+            raise _WorkerFailure(index, "error", reply[1])
         return reply
 
-    def ready(self) -> List[float]:
-        return [self._recv(i)[1] for i in range(len(self.conns))]
+    def ready(self, hard: Optional[float] = None) -> List[float]:
+        return [self._recv(i, hard)[1]
+                for i in range(len(self._workers))]
 
     def step(self, grants, pending):
-        replies: List[Optional[Tuple]] = [None] * len(self.conns)
+        replies: List[Optional[Tuple]] = [None] * len(self._workers)
         active = []
         for index, (grant, messages) in enumerate(zip(grants,
                                                       pending)):
             if grant is None and not messages:
-                # Placeholder the driver must ignore (see
-                # _InlineTransport.step).
-                replies[index] = (_INF, True, [])
-                continue
+                continue  # not stepped this round
+            directive = (None if self.directive_for is None
+                         else self.directive_for(index))
             started = time.perf_counter()
-            self.conns[index].send(("step", grant, messages))
+            self._send(index, ("step", grant, messages, directive))
             self.serialization_sec += time.perf_counter() - started
             active.append(index)
         for index in active:
-            reply = self._recv(index)
-            replies[index] = (reply[1], reply[2], reply[3])
+            replies[index] = self._recv(index, self.hard)[1:]
         return replies
 
-    def finish(self, leftovers):
-        for index, conn in enumerate(self.conns):
-            conn.send(("finish", leftovers[index]))
-        return [self._recv(i)[1] for i in range(len(self.conns))]
+    def finish(self, leftovers, hard: Optional[float] = None):
+        for index, messages in enumerate(leftovers):
+            self._send(index, ("finish", messages))
+        payloads = [self._recv(i, hard)[1]
+                    for i in range(len(self._workers))]
+        self._done = True
+        return payloads
+
+    def snapshot(self, hard: Optional[float] = None
+                 ) -> Optional[List[_SnapshotHandle]]:
+        if not self.can_snapshot:
+            return None
+        handles: List[_SnapshotHandle] = []
+        try:
+            for index, ref in enumerate(self._workers):
+                parent, child = multiprocessing.Pipe()
+                try:
+                    ref.conn.send(("snapshot",))
+                    reduction.send_handle(ref.conn, child.fileno(),
+                                          ref.pid)
+                except (BrokenPipeError, OSError) as exc:
+                    parent.close()
+                    raise _WorkerFailure(
+                        index, "crash",
+                        f"snapshot send: {exc!r}") from None
+                finally:
+                    child.close()
+                reply = self._recv(index, hard)
+                handles.append(_SnapshotHandle(parent, reply[1]))
+            return handles
+        except _WorkerFailure:
+            for handle in handles:
+                handle.discard()
+            raise
 
     def close(self) -> None:
-        for conn in self.conns:
+        """Close the pipes and reap the workers.  After a completed
+        finish exchange they exit on their own.  Otherwise — a failed
+        or abandoned run — every survivor is SIGKILLed first: a worker
+        blocked in ``recv`` never sees EOF, because it inherited its
+        own pipe's parent end when it was forked."""
+        for ref in self._workers:
             try:
-                conn.close()
+                ref.conn.close()
             except OSError:  # pragma: no cover
                 pass
-        for proc in self.procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=10.0)
+        for ref in self._workers:
+            if not self._done and ref.alive():
+                ref.kill()
+            _reap(ref.proc, timeout=10.0)
+        self._workers = []
+
+
+_TRANSPORTS = {"inline": _InlineTransport, "process": _ProcessTransport}
 
 
 # ----------------------------------------------------------------------
@@ -483,8 +782,8 @@ def round_budget(partition: Partition, duration: float,
                  extra_rounds: int = 0) -> int:
     """The coordinator's termination guard: an upper bound on how many
     synchronous rounds a healthy run can take.  *extra_rounds* widens
-    the budget for drivers that insert additional quiescent rounds
-    (the supervisor's checkpoint barriers)."""
+    the budget for the additional quiescent rounds the supervisor's
+    checkpoint barriers insert."""
     min_lookahead = partition.min_lookahead()
     if min_lookahead:
         budget = (10_000 + int(duration / min_lookahead + 1)
@@ -595,14 +894,12 @@ def compute_grants(partition: Partition, ne: Sequence[float],
     runs, possibly in response to a frame from a third shard, and so
     on around cycles (a gateway bouncing a shard's own traffic back
     at it).  The closure carries exactly that transitive relaxation;
-    drivers hold a :class:`LookaheadClosure` across rounds and pass
-    it in (a transient one is built when omitted, e.g. by tests
+    the driver holds a :class:`LookaheadClosure` across rounds and
+    passes it in (a transient one is built when omitted, e.g. by tests
     calling this directly).
 
-    This is the single source of truth for the sync protocol; both the
-    plain driver below and the supervised driver
-    (:mod:`repro.engine.supervisor`) call it, so a protocol change can
-    never diverge between them.
+    This is the single source of truth for the sync protocol; its one
+    caller is :func:`_drive`, which plain and supervised runs share.
     """
     if closure is None:
         closure = LookaheadClosure(partition, in_channels)
@@ -679,11 +976,13 @@ class SyncStats:
 
 
 def _drive(transport, partition: Partition, duration: float,
-           stats: Optional[SyncStats] = None
-           ) -> Tuple[List[List[Tuple]], SyncStats]:
+           stats: SyncStats, start: Optional[Tuple] = None,
+           on_round=None, extra_rounds: int = 0
+           ) -> Tuple[List[List[Tuple]], int]:
     """Run the synchronous round protocol to completion.  Returns the
-    per-shard leftover messages (all past the horizon) and the sync
-    stats (rounds taken, steps issued/skipped, per-channel traffic).
+    per-shard leftover messages (all past the horizon) and the number
+    of the last round; *stats* counts rounds, steps issued/skipped and
+    per-channel traffic.
 
     Round-count reduction, on top of the widened lookahead baked into
     the channel graph: grants are multi-event horizons (one round
@@ -695,29 +994,42 @@ def _drive(transport, partition: Partition, duration: float,
     event always receives a grant strictly above it (positive
     lookahead), so it is never skipped, and a quiescent world drives
     every grant past the horizon, which the skip test never elides.
+
+    The supervisor (:mod:`repro.engine.supervisor`) runs this same
+    loop.  *start* resumes from a saved cut ``(ne, finished, pending,
+    round)`` instead of the workers' ready reports.
+    ``on_round(round, ne, finished, pending, grants)`` runs once a
+    round, after the grants are computed and before the idle test; it
+    may lower grants in place (never raise them) and may snapshot the
+    cut.  *extra_rounds* widens the termination guard for the rounds
+    such lowering adds.
     """
     shards = partition.shards
-    in_channels = in_channel_lists(partition)
-    closure = LookaheadClosure(partition, in_channels)
-    max_rounds = round_budget(partition, duration)
-    stats = SyncStats(partition) if stats is None else stats
-
-    ne = list(transport.ready())
-    finished = [False] * shards
-    # Per-shard delivery buffers, reused across rounds (cleared, not
-    # reallocated) — safe because both transports serialize messages
-    # before step() returns.
-    pending: List[List[Tuple]] = [[] for _ in range(shards)]
+    closure = LookaheadClosure(partition)
+    max_rounds = round_budget(partition, duration, extra_rounds)
+    if start is None:
+        ne = list(transport.ready())
+        finished = [False] * shards
+        # Per-shard delivery buffers, reused across rounds (cleared,
+        # not reallocated) — safe because both transports serialize
+        # messages before step() returns.
+        pending: List[List[Tuple]] = [[] for _ in range(shards)]
+        round_no = 0
+    else:
+        ne, finished, pending, round_no = start
     stepped = [False] * shards
     while not all(finished):
+        round_no += 1
         stats.rounds += 1
-        if stats.rounds > max_rounds:
+        if round_no > max_rounds:
             raise ShardSyncError(
                 f"no termination after {max_rounds} rounds "
                 f"(min lookahead {partition.min_lookahead()!r}us, "
                 f"duration {duration!r}us)")
         grants = compute_grants(partition, ne, finished, pending,
-                                in_channels, closure)
+                                closure=closure)
+        if on_round is not None:
+            on_round(round_no, ne, finished, pending, grants)
         for j in range(shards):
             grant = grants[j]
             if grant is None:
@@ -740,8 +1052,8 @@ def _drive(transport, partition: Partition, duration: float,
             bucket.clear()
         for j in range(shards):
             if not stepped[j]:
-                # Placeholder reply — the shard was not stepped, so
-                # its ne/finished state is unchanged.
+                # The shard was not stepped, so its ne/finished state
+                # is unchanged.
                 continue
             stats.steps += 1
             ne_j, finished_j, groups = replies[j]
@@ -751,7 +1063,7 @@ def _drive(transport, partition: Partition, duration: float,
                 for message in messages:
                     stats.count_frame(message[0], message[3])
                 pending[dst].extend(messages)
-    return pending, stats
+    return pending, round_no
 
 
 # ----------------------------------------------------------------------
@@ -772,8 +1084,7 @@ class ShardedRun:
     sync:
         Deterministic sync-protocol counters
         (:meth:`SyncStats.as_dict`: rounds, steps, skipped steps,
-        grants issued, frames / wire bytes per channel), or ``None``
-        for drivers that do not collect them.
+        grants issued, frames / wire bytes per channel).
     serialization_sec:
         Wall-clock seconds the transport spent serializing
         cross-shard frames (not deterministic; kept out of ``sync``).
@@ -911,15 +1222,15 @@ class ShardedEngine:
         if mode == "auto":
             mode = "inline" if self.partition.shards == 1 \
                 else "process"
-        transport = (_ProcessTransport(program) if mode == "process"
-                     else _InlineTransport(program))
+        transport = _TRANSPORTS[mode](program)
+        stats = SyncStats(self.partition)
         try:
-            leftovers, stats = _drive(transport, self.partition,
-                                      program.duration)
+            leftovers, rounds = _drive(transport, self.partition,
+                                       program.duration, stats)
             payloads = transport.finish(leftovers)
         finally:
             transport.close()
-        return ShardedRun(payloads, stats.rounds, self.partition,
+        return ShardedRun(payloads, rounds, self.partition,
                           mode, sync=stats.as_dict(),
                           serialization_sec=transport
                           .serialization_sec)

@@ -1,17 +1,22 @@
-"""Supervised execution of sharded runs: heartbeats, deadlines,
-checkpoint/restore, and a degradation ladder.
+"""Supervised execution of sharded runs: deadlines, checkpoint/restore,
+and a degradation ladder.
 
-:class:`Supervisor` wraps a :class:`~repro.engine.sharded.ShardedEngine`
-and drives the *same* conservative round protocol (the grant math is
-shared via :func:`repro.engine.sharded.compute_grants`), adding the
-run-management layer the plain driver refuses to carry:
+:class:`Supervisor` runs a :class:`~repro.engine.sharded.ShardedEngine`
+scenario on the plain engine's own round driver and transports
+(:func:`repro.engine.sharded._drive`); supervision is a set of hooks
+on that path, not a second copy of it.  It sets reply deadlines and a
+chaos-directive source on each fresh transport, and passes the driver
+a per-round hook that cuts epoch checkpoints and caps grants at the
+next barrier.  What lives here is only what is specific to
+supervision: the restart/backoff loop, the degradation ladder, and
+the recovery record.
 
 Failure detection
     Every round reply doubles as a heartbeat.  A worker that misses
     the *soft* deadline (``round_timeout_sec * slow_fraction``) is
     flagged ``recovery_slow``; one that misses the hard deadline is
-    classified by its process sentinel — still alive means **hung**
-    (and it gets SIGKILLed), dead means **crashed**.  A closed pipe or
+    classified by its process — still alive means **hung** (and it
+    gets SIGKILLed), dead means **crashed**.  A closed pipe or
     an ``("error", ...)`` reply fails the round immediately.
 
 Checkpoint/restore
@@ -53,34 +58,26 @@ the ``repro.engine.supervisor`` logger.
 
 from __future__ import annotations
 
+import functools
 import logging
-import multiprocessing
-import os
-import signal
 import time
 from dataclasses import dataclass, field
-from multiprocessing import reduction
-from multiprocessing.connection import Connection
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.checkpoint import Checkpoint, CheckpointPolicy
 from repro.engine.component import make_partition
 from repro.engine.sharded import (
-    ShardProgram,
-    ShardSyncError,
+    _TRANSPORTS,
     ShardedRun,
-    _InlineTransport,
-    _ShardRuntime,
-    LookaheadClosure,
+    ShardProgram,
     SyncStats,
-    compute_grants,
+    _drive,
+    _ProcessTransport,
+    _WorkerFailure,
     effective_next_events,
-    in_channel_lists,
-    round_budget,
 )
 from repro.faults.chaos import ChaosController, ChaosPlan
 
-_INF = float("inf")
 _LOG = logging.getLogger("repro.engine.supervisor")
 
 # Typed recovery-event kinds.
@@ -104,17 +101,6 @@ _WARN_KINDS = frozenset({
 class SupervisorError(RuntimeError):
     """The degradation ladder is exhausted: even the terminal rung
     kept failing."""
-
-
-class _WorkerFailure(Exception):
-    """Internal: one worker failed one protocol exchange."""
-
-    def __init__(self, shard: Optional[int], kind: str,
-                 detail: str = "") -> None:
-        super().__init__(f"shard {shard} {kind}: {detail}")
-        self.shard = shard
-        self.kind = kind
-        self.detail = detail
 
 
 class _RungExhausted(Exception):
@@ -176,413 +162,6 @@ class RecoveryEvent:
     incarnation: int
     shard: Optional[int] = None
     detail: str = ""
-
-
-# ----------------------------------------------------------------------
-# Supervised workers (process mode)
-# ----------------------------------------------------------------------
-def _apply_directive(directive, chronic: Dict[str, float]) -> None:
-    kind, magnitude = directive[0], directive[1]
-    if kind == "kill":
-        os._exit(137)
-    elif kind == "stall":
-        time.sleep(magnitude)
-    elif kind == "slow":
-        chronic["slow"] = magnitude
-
-
-def _serve(conn, runtime: _ShardRuntime) -> None:
-    """The supervised worker op loop.  Runs in the original worker and
-    again, verbatim, in any activated snapshot child."""
-    chronic = {"slow": 0.0}
-    while True:
-        request = conn.recv()
-        op = request[0]
-        if op == "step":
-            directive = request[3]
-            if directive is not None:
-                _apply_directive(directive, chronic)
-            if chronic["slow"]:
-                time.sleep(chronic["slow"])
-            ne, finished, outbox = runtime.step_with(request[1],
-                                                     request[2])
-            conn.send(("stepped", ne, finished, outbox))
-        elif op == "snapshot":
-            # The coordinator passes a fresh pipe end over the control
-            # connection; fork a dormant copy-on-write child that owns
-            # it.  If the checkpoint is ever restored, the child wakes
-            # up as the new worker with the shard exactly as it was.
-            fd = reduction.recv_handle(conn)
-            snap = Connection(fd)
-            pid = os.fork()
-            if pid == 0:
-                conn.close()
-                _await_activation(snap, runtime)  # never returns
-            snap.close()
-            conn.send(("snapshotted", pid))
-        elif op == "finish":
-            conn.send(("done", runtime.finish(request[1])))
-            return
-        else:  # pragma: no cover - defensive
-            raise ShardSyncError(f"unknown supervised op {op!r}")
-
-
-def _await_activation(conn, runtime: _ShardRuntime) -> None:
-    """Snapshot-child limbo: block until activated or discarded.
-    Always exits the process; it must never fall back into the
-    parent's stack."""
-    status = 0
-    try:
-        try:
-            request = conn.recv()
-        except (EOFError, OSError):
-            request = ("discard",)
-        if request and request[0] == "activate":
-            try:
-                # Handshake: prove liveness and let the coordinator
-                # verify the restored state against the checkpoint.
-                conn.send(("ready", runtime.next_event()))
-                _serve(conn, runtime)
-            except (EOFError, BrokenPipeError, OSError):
-                status = 1
-            except Exception as exc:  # noqa: BLE001 - relayed
-                import traceback
-                status = 1
-                try:
-                    conn.send(("error",
-                               f"{exc!r}\n{traceback.format_exc()}"))
-                except (BrokenPipeError, OSError):
-                    pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-        os._exit(status)
-
-
-def _supervised_worker_main(conn, program: ShardProgram,
-                            index: int) -> None:
-    """Supervised worker entry: like ``_worker_main`` but speaking the
-    extended protocol (directives on steps, snapshot forks)."""
-    if hasattr(signal, "SIGCHLD"):
-        # Snapshot children are reaped automatically; a worker never
-        # waits on them.
-        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        runtime = _ShardRuntime(program, index)
-        conn.send(("ready", runtime.next_event()))
-        _serve(conn, runtime)
-    except Exception as exc:  # noqa: BLE001 - relayed to coordinator
-        import traceback
-        try:
-            conn.send(("error", f"{exc!r}\n{traceback.format_exc()}"))
-        except (BrokenPipeError, OSError):  # pragma: no cover
-            pass
-    finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-def _reap(proc, timeout: float) -> bool:
-    """Wait for a worker ``Process`` to exit; True when it did.
-
-    Deliberately NOT ``proc.join(timeout)``: a timed join waits on the
-    process *sentinel* pipe, and the write end of that pipe is
-    inherited by every dormant snapshot child the worker forked — so
-    the sentinel stays silent long after the worker itself is a
-    zombie, and a timed join burns its full timeout.  ``is_alive()``
-    polls with ``waitpid(WNOHANG)``, which both sees and reaps the
-    zombie immediately regardless of who still holds the sentinel.
-    """
-    if proc is None:
-        return True
-    deadline = time.monotonic() + timeout
-    delay = 0.0005
-    while proc.is_alive():
-        if time.monotonic() >= deadline:  # pragma: no cover
-            return False
-        time.sleep(delay)
-        delay = min(delay * 2, 0.05)
-    return True
-
-
-class _WorkerRef:
-    """One live worker: its pipe, pid, and — for original workers —
-    the Process sentinel.  Activated snapshot children have no Process
-    object (they are grandchildren); liveness falls back to
-    ``os.kill(pid, 0)``."""
-
-    __slots__ = ("conn", "pid", "proc")
-
-    def __init__(self, conn, pid: int, proc) -> None:
-        self.conn = conn
-        self.pid = pid
-        self.proc = proc
-
-    def alive(self) -> bool:
-        if self.proc is not None:
-            return self.proc.is_alive()
-        try:
-            os.kill(self.pid, 0)
-        except (ProcessLookupError, PermissionError):
-            return False
-        return True
-
-
-class _SnapshotHandle:
-    """Coordinator's end of one dormant snapshot child."""
-
-    __slots__ = ("conn", "pid")
-
-    def __init__(self, conn, pid: int) -> None:
-        self.conn = conn
-        self.pid = pid
-
-    def activate(self):
-        self.conn.send(("activate",))
-        return self.conn
-
-    def discard(self) -> None:
-        try:
-            self.conn.send(("discard",))
-        except (BrokenPipeError, OSError):
-            pass
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-
-class _SupervisedProcessTransport:
-    """Process transport with deadlines, sentinels, directives, and
-    fork snapshots."""
-
-    kind = "process"
-
-    def __init__(self, program: ShardProgram) -> None:
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        self.can_snapshot = ("fork" in methods
-                             and hasattr(os, "fork"))
-        self._workers: List[_WorkerRef] = []
-        try:
-            for index in range(program.partition.shards):
-                parent, child = self._ctx.Pipe()
-                proc = self._ctx.Process(
-                    target=_supervised_worker_main,
-                    args=(child, program, index), daemon=True)
-                proc.start()
-                child.close()
-                self._workers.append(_WorkerRef(parent, proc.pid,
-                                                proc))
-        except Exception:
-            self.destroy()
-            raise
-
-    @classmethod
-    def from_snapshot(cls, handles: List[_SnapshotHandle]
-                      ) -> "_SupervisedProcessTransport":
-        """Activate a checkpoint's dormant children as the new worker
-        set.  Takes ownership of *handles*: on failure the unconsumed
-        ones are discarded."""
-        self = cls.__new__(cls)
-        self._ctx = multiprocessing.get_context("fork")
-        self.can_snapshot = True
-        self._workers = []
-        for position, handle in enumerate(handles):
-            try:
-                conn = handle.activate()
-            except (BrokenPipeError, OSError) as exc:
-                for leftover in handles[position + 1:]:
-                    leftover.discard()
-                self.destroy()
-                raise _WorkerFailure(
-                    position, "crash",
-                    f"snapshot child gone: {exc!r}")
-            self._workers.append(_WorkerRef(conn, handle.pid, None))
-        return self
-
-    # -- failure-aware plumbing ---------------------------------------
-    def _send(self, index: int, payload) -> None:
-        try:
-            self._workers[index].conn.send(payload)
-        except (BrokenPipeError, OSError) as exc:
-            raise _WorkerFailure(index, "crash",
-                                 f"send failed: {exc!r}")
-
-    def _recv(self, index: int, soft: Optional[float],
-              hard: Optional[float], on_slow):
-        conn = self._workers[index].conn
-        if hard is not None:
-            remaining = hard
-            if soft is not None and soft < hard:
-                if not conn.poll(soft):
-                    if on_slow is not None:
-                        on_slow(index)
-                    remaining = hard - soft
-                else:
-                    remaining = None
-            if remaining is not None and not conn.poll(remaining):
-                if self._workers[index].alive():
-                    # Hung, not dead: put it out of its misery so the
-                    # restore cannot race a late reply.
-                    self._kill(index)
-                    raise _WorkerFailure(
-                        index, "hang",
-                        f"no reply within {hard}s (alive)")
-                raise _WorkerFailure(
-                    index, "crash",
-                    f"no reply within {hard}s (dead)")
-        try:
-            reply = conn.recv()
-        except (EOFError, OSError) as exc:
-            raise _WorkerFailure(index, "crash",
-                                 f"pipe closed: {exc!r}")
-        if reply[0] == "error":
-            raise _WorkerFailure(index, "error", reply[1])
-        return reply
-
-    def _kill(self, index: int) -> None:
-        ref = self._workers[index]
-        if ref.proc is not None:
-            ref.proc.kill()
-        else:
-            try:
-                os.kill(ref.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass
-
-    # -- round protocol ------------------------------------------------
-    def ready(self, hard: Optional[float] = None) -> List[float]:
-        return [self._recv(i, None, hard, None)[1]
-                for i in range(len(self._workers))]
-
-    def step(self, grants, pending, directives=None,
-             soft: Optional[float] = None,
-             hard: Optional[float] = None, on_slow=None):
-        replies: List[Optional[Tuple]] = [None] * len(self._workers)
-        active = []
-        for index, (grant, messages) in enumerate(zip(grants,
-                                                      pending)):
-            if grant is None and not messages:
-                replies[index] = (_INF, True, [])
-                continue
-            directive = directives[index] if directives else None
-            self._send(index, ("step", grant, messages, directive))
-            active.append(index)
-        for index in active:
-            reply = self._recv(index, soft, hard, on_slow)
-            replies[index] = (reply[1], reply[2], reply[3])
-        return replies
-
-    def finish(self, leftovers, hard: Optional[float] = None):
-        for index in range(len(self._workers)):
-            self._send(index, ("finish", leftovers[index]))
-        return [self._recv(i, None, hard, None)[1]
-                for i in range(len(self._workers))]
-
-    # -- snapshots -----------------------------------------------------
-    def snapshot(self, hard: Optional[float] = None
-                 ) -> Optional[List[_SnapshotHandle]]:
-        if not self.can_snapshot:
-            return None
-        handles: List[_SnapshotHandle] = []
-        try:
-            for index, ref in enumerate(self._workers):
-                parent, child = self._ctx.Pipe()
-                try:
-                    self._send(index, ("snapshot",))
-                    reduction.send_handle(ref.conn, child.fileno(),
-                                          ref.pid)
-                except (BrokenPipeError, OSError) as exc:
-                    parent.close()
-                    raise _WorkerFailure(index, "crash",
-                                         f"snapshot send: {exc!r}")
-                finally:
-                    child.close()
-                reply = self._recv(index, None, hard, None)
-                handles.append(_SnapshotHandle(parent, reply[1]))
-            return handles
-        except _WorkerFailure:
-            for handle in handles:
-                handle.discard()
-            raise
-
-    # -- lifecycle -----------------------------------------------------
-    def destroy(self) -> None:
-        """Tear down after a failure: close pipes, SIGKILL every
-        worker still alive."""
-        for ref in self._workers:
-            try:
-                ref.conn.close()
-            except OSError:
-                pass
-        for index in range(len(self._workers)):
-            if self._workers[index].alive():
-                self._kill(index)
-        for ref in self._workers:
-            _reap(ref.proc, timeout=10.0)
-        self._workers = []
-
-    def close(self) -> None:
-        """Graceful teardown after a completed finish exchange."""
-        for ref in self._workers:
-            try:
-                ref.conn.close()
-            except OSError:
-                pass
-        for ref in self._workers:
-            if not _reap(ref.proc, timeout=10.0):  # pragma: no cover
-                ref.proc.terminate()
-                _reap(ref.proc, timeout=10.0)
-        self._workers = []
-
-
-class _SupervisedInlineTransport:
-    """Inline transport speaking the supervised surface.  There is no
-    process to snapshot or to hang, so checkpoints are logical-only
-    and restore replays from the origin; chaos ``kill`` raises (and
-    the replay restores), stall/slow degenerate to coordinator-side
-    sleeps."""
-
-    kind = "inline"
-    can_snapshot = False
-
-    def __init__(self, program: ShardProgram) -> None:
-        self._inner = _InlineTransport(program)
-
-    def ready(self, hard: Optional[float] = None) -> List[float]:
-        return self._inner.ready()
-
-    def step(self, grants, pending, directives=None,
-             soft: Optional[float] = None,
-             hard: Optional[float] = None, on_slow=None):
-        if directives:
-            for index, directive in enumerate(directives):
-                if directive is None:
-                    continue
-                if directive[0] == "kill":
-                    raise _WorkerFailure(
-                        index, "chaos-kill",
-                        "inline shard killed by chaos directive")
-                time.sleep(directive[1])
-        return self._inner.step(grants, pending)
-
-    def finish(self, leftovers, hard: Optional[float] = None):
-        return self._inner.finish(leftovers)
-
-    def snapshot(self, hard: Optional[float] = None):
-        return None
-
-    def destroy(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 # ----------------------------------------------------------------------
@@ -692,36 +271,177 @@ class Supervisor:
         """The next, smaller rung of the degradation ladder — or
         ``None`` if *partition*/*mode* is already terminal."""
         if partition.shards > 1:
-            smaller = make_partition(partition.spec,
-                                     partition.components,
-                                     max(1, partition.shards // 2))
-            next_mode = mode if smaller.shards > 1 else (
-                "inline" if mode == "inline" else "process")
-            return smaller, next_mode
+            return make_partition(partition.spec, partition.components,
+                                  max(1, partition.shards // 2)), mode
         if mode == "process":
             return partition, "inline"
         return None
 
     # -- one rung ------------------------------------------------------
-    def _make_transport(self, program, mode):
-        if mode == "process":
-            return _SupervisedProcessTransport(program)
-        return _SupervisedInlineTransport(program)
+    def _run_rung(self, partition, mode, duration, seed, terminal):
+        """Run one rung to completion, restarting it after each worker
+        failure until its restart budget is spent."""
+        policy = self.policy
+        program = ShardProgram(partition, seed=seed,
+                               duration=duration,
+                               trace=self.engine.trace,
+                               prepare=self.engine.prepare,
+                               costs=self.engine.costs,
+                               batch=self.engine.batch)
+        # Sync stats for the rung that completes; restarts within the
+        # rung keep accumulating (the counters describe the work the
+        # supervised run actually did, replays included).
+        stats = SyncStats(partition)
+        self._checkpoint: Optional[Checkpoint] = None
+        restarts = 0
+        try:
+            while True:
+                try:
+                    payloads, rounds = self._attempt(program, mode,
+                                                     stats, terminal)
+                    return payloads, rounds, stats
+                except _WorkerFailure as failure:
+                    self._emit(RECOVERY_WORKER_HUNG
+                               if failure.kind == "hang"
+                               else RECOVERY_WORKER_LOST,
+                               shard=failure.shard, round_=self._round,
+                               detail=f"{failure.kind}: "
+                                      f"{failure.detail[:200]}")
+                    self._incarnation += 1
+                    if self._chaos is not None:
+                        self._chaos.reset_incarnation()
+                    restarts += 1
+                    if restarts > policy.max_restarts:
+                        raise _RungExhausted(failure)
+                delay = min(policy.backoff_cap_sec,
+                            policy.backoff_sec * (2 ** (restarts - 1)))
+                if delay > 0.0:
+                    time.sleep(delay)
+        finally:
+            if self._checkpoint is not None:
+                self._checkpoint.discard()
 
-    def _take_checkpoint(self, transport, epoch, round_no, ne,
-                         finished, pending) -> Checkpoint:
-        handles = transport.snapshot(
-            hard=self.policy.round_timeout_sec)
-        checkpoint = Checkpoint(epoch, round_no, ne, finished,
-                                pending, handles)
+    def _attempt(self, program, mode, stats, terminal):
+        """One life of a rung on the plain round driver: resume from
+        the last resumable checkpoint, else start from the origin; run
+        to the horizon and collect ``(payloads, rounds)``."""
+        partition, duration = program.partition, program.duration
+        transport = None
+        try:
+            checkpoint = self._checkpoint
+            if checkpoint is not None and checkpoint.resumable:
+                handles, checkpoint.handles = checkpoint.handles, None
+                transport = self._watch(
+                    _ProcessTransport.from_snapshot(handles))
+                start = self._restore(transport, checkpoint)
+            else:
+                if checkpoint is not None:
+                    checkpoint.discard()
+                    self._checkpoint = None
+                self._epoch = self._round = 0
+                if self._incarnation:
+                    self._emit(RECOVERY_RESTART, detail="origin replay")
+                transport = self._watch(_TRANSPORTS[mode](program))
+                start = None
+            self._arm_chaos(self._epoch, partition.shards, terminal)
+            ckpt = self.policy.checkpoint
+            epochs = (int(duration / ckpt.epoch_usec) + 1
+                      if ckpt.enabled else 0)
+            leftovers, rounds = _drive(
+                transport, partition, duration, stats, start=start,
+                on_round=functools.partial(self._on_round, transport,
+                                           duration, terminal),
+                extra_rounds=(epochs + 1) * 4 * partition.shards)
+            if self._chaos is not None:
+                for shard, directive in sorted(
+                        self._chaos._armed.items()):
+                    self._emit(RECOVERY_CHAOS_SUPPRESSED, shard=shard,
+                               round_=rounds,
+                               detail=f"{directive[2]} undeliverable "
+                                      f"(shard finished)")
+                self._chaos.reset_incarnation()
+            payloads = transport.finish(
+                leftovers, hard=self.policy.finish_timeout_sec)
+            return payloads, rounds
+        finally:
+            if transport is not None:
+                transport.close()
+
+    # -- driver hooks --------------------------------------------------
+    def _watch(self, transport):
+        """Hook supervision into a fresh transport: reply deadlines
+        and chaos directives."""
+        transport.soft = self.policy.soft_timeout_sec
+        transport.hard = self.policy.round_timeout_sec
+        transport.on_slow = self._on_slow
+        if self._chaos is not None:
+            transport.directive_for = self._chaos.directive_for
+        return transport
+
+    def _on_slow(self, shard: int) -> None:
+        self._emit(RECOVERY_SLOW, shard=shard, round_=self._round,
+                   detail=f"soft deadline "
+                          f"{self.policy.soft_timeout_sec}s missed")
+
+    def _on_round(self, transport, duration, terminal, round_no, ne,
+                  finished, pending, grants) -> None:
+        """The driver's per-round hook.  Once every shard has quiesced
+        past one or more barriers, cut an epoch checkpoint at the
+        furthest of them; then cap every grant at the next barrier, so
+        the next quiescent cut is manufactured rather than waited
+        for."""
+        self._round = round_no
+        policy = self.policy.checkpoint
+        if not policy.enabled:
+            return
+        eff = effective_next_events(ne, pending)
+        epoch = self._epoch
+        while policy.barrier(epoch + 1) <= duration and all(
+                done or when >= policy.barrier(epoch + 1)
+                for done, when in zip(finished, eff)):
+            epoch += 1
+        if epoch > self._epoch:
+            self._epoch = epoch
+            self._cut(transport, round_no - 1, ne, finished, pending)
+            self._arm_chaos(epoch, len(ne), terminal)
+        barrier = policy.barrier(self._epoch + 1)
+        if barrier <= duration:
+            for j, grant in enumerate(grants):
+                if grant is not None and grant > barrier:
+                    grants[j] = barrier
+
+    def _restore(self, transport, checkpoint: Checkpoint):
+        """Check the activated snapshot children against *checkpoint*
+        and return the cut the driver resumes from."""
+        ne, finished, pending = checkpoint.state()
+        self._epoch, self._round = checkpoint.epoch, checkpoint.round
+        restored = transport.ready(hard=self.policy.round_timeout_sec)
+        if restored != ne:
+            raise _WorkerFailure(
+                None, "restore-mismatch",
+                f"activated state {restored} != checkpoint {ne}")
+        self._emit(RECOVERY_RESTORE, round_=checkpoint.round,
+                   detail=f"epoch={checkpoint.epoch}")
+        # Re-arm: fork fresh snapshots so the *next* failure can
+        # resume here too.
+        self._cut(transport, checkpoint.round, ne, finished, pending)
+        return ne, finished, pending, checkpoint.round
+
+    def _cut(self, transport, round_no, ne, finished, pending) -> None:
+        """Checkpoint the current epoch; the previous checkpoint is
+        released only once the new snapshot succeeded."""
+        checkpoint = Checkpoint(
+            self._epoch, round_no, ne, finished, pending,
+            transport.snapshot(hard=self.policy.round_timeout_sec))
         self._emit(RECOVERY_CHECKPOINT, round_=round_no,
-                   detail=f"epoch={epoch} "
+                   detail=f"epoch={self._epoch} "
                           f"resumable={checkpoint.resumable} "
-                          f"in_flight="
-                          f"{sum(len(p) for p in pending)}")
-        return checkpoint
+                          f"in_flight={sum(len(p) for p in pending)}")
+        if self._checkpoint is not None:
+            self._checkpoint.discard()
+        self._checkpoint = checkpoint
 
-    def _arm_chaos(self, epoch, shards, terminal, round_no) -> None:
+    def _arm_chaos(self, epoch, shards, terminal) -> None:
         if self._chaos is None:
             return
         armed = self._chaos.on_epoch(epoch, self._incarnation,
@@ -733,202 +453,8 @@ class Supervisor:
                 # it is recorded and dropped.
                 self._chaos.directive_for(shard)
                 self._emit(RECOVERY_CHAOS_SUPPRESSED, shard=shard,
-                           round_=round_no,
+                           round_=self._round,
                            detail=f"{label} (terminal rung)")
                 continue
-            self._emit(RECOVERY_CHAOS, shard=shard, round_=round_no,
+            self._emit(RECOVERY_CHAOS, shard=shard, round_=self._round,
                        detail=f"{label} magnitude={magnitude}")
-
-    def _run_rung(self, partition, mode, duration, seed, terminal):
-        policy = self.policy
-        shards = partition.shards
-        program = ShardProgram(partition, seed=seed,
-                               duration=duration,
-                               trace=self.engine.trace,
-                               prepare=self.engine.prepare,
-                               costs=self.engine.costs)
-        ckpt_policy = policy.checkpoint
-        epochs_total = (int(duration / ckpt_policy.epoch_usec) + 1
-                        if ckpt_policy.enabled else 0)
-        max_rounds = round_budget(
-            partition, duration,
-            extra_rounds=(epochs_total + 1) * 4 * shards)
-        in_channels = in_channel_lists(partition)
-        closure = LookaheadClosure(partition, in_channels)
-        # Sync stats for the rung that completes; restarts within the
-        # rung keep accumulating (the counters describe the work the
-        # supervised run actually did, replays included).
-        stats = SyncStats(partition)
-        soft = policy.soft_timeout_sec
-        hard = policy.round_timeout_sec
-
-        restarts = 0
-        round_no = 0
-        checkpoint: Optional[Checkpoint] = None
-        transport = None
-        try:
-            while True:
-                try:
-                    # ---- (re)start ------------------------------------
-                    if checkpoint is not None \
-                            and checkpoint.resumable:
-                        handles = checkpoint.handles
-                        checkpoint.handles = None
-                        transport = (_SupervisedProcessTransport
-                                     .from_snapshot(handles))
-                        saved_ne, finished, pending = \
-                            checkpoint.state()
-                        ne = transport.ready(hard=hard)
-                        if ne != saved_ne:
-                            raise _WorkerFailure(
-                                None, "restore-mismatch",
-                                f"activated state {ne} != "
-                                f"checkpoint {saved_ne}")
-                        epoch = checkpoint.epoch
-                        round_no = checkpoint.round
-                        self._emit(RECOVERY_RESTORE,
-                                   round_=round_no,
-                                   detail=f"epoch={epoch}")
-                        # Re-arm: fork fresh snapshots so the *next*
-                        # failure can resume here too.
-                        checkpoint = self._take_checkpoint(
-                            transport, epoch, round_no, ne,
-                            finished, pending)
-                    else:
-                        if checkpoint is not None:
-                            checkpoint.discard()
-                            checkpoint = None
-                        transport = self._make_transport(program,
-                                                         mode)
-                        ne = list(transport.ready())
-                        finished = [False] * shards
-                        pending = [[] for _ in range(shards)]
-                        epoch = 0
-                        round_no = 0
-                        if self._incarnation:
-                            self._emit(RECOVERY_RESTART,
-                                       detail="origin replay")
-                    self._arm_chaos(epoch, shards, terminal,
-                                    round_no)
-
-                    # ---- round loop -----------------------------------
-                    while not all(finished):
-                        round_no += 1
-                        if round_no > max_rounds:
-                            raise ShardSyncError(
-                                f"no termination after "
-                                f"{max_rounds} supervised rounds")
-                        # Advance past any barriers already quiescent
-                        # and cut an epoch at the furthest one.
-                        if ckpt_policy.enabled:
-                            eff = effective_next_events(ne, pending)
-                            target = epoch
-                            while True:
-                                barrier = ckpt_policy.barrier(
-                                    target + 1)
-                                if barrier > duration:
-                                    break
-                                if all(finished[j]
-                                       or eff[j] >= barrier
-                                       for j in range(shards)):
-                                    target += 1
-                                else:
-                                    break
-                            if target > epoch:
-                                epoch = target
-                                fresh = self._take_checkpoint(
-                                    transport, epoch, round_no - 1,
-                                    ne, finished, pending)
-                                if checkpoint is not None:
-                                    checkpoint.discard()
-                                checkpoint = fresh
-                                self._arm_chaos(epoch, shards,
-                                                terminal, round_no)
-                        stats.rounds += 1
-                        grants = compute_grants(partition, ne,
-                                                finished, pending,
-                                                in_channels, closure)
-                        stats.grants_issued += sum(
-                            1 for g in grants if g is not None)
-                        if ckpt_policy.enabled:
-                            barrier = ckpt_policy.barrier(epoch + 1)
-                            if barrier <= duration:
-                                for j, grant in enumerate(grants):
-                                    if grant is not None \
-                                            and grant > barrier:
-                                        grants[j] = barrier
-                        directives = None
-                        if self._chaos is not None:
-                            directives = [None] * shards
-                            for j in range(shards):
-                                if grants[j] is None \
-                                        and not pending[j]:
-                                    continue
-                                directives[j] = \
-                                    self._chaos.directive_for(j)
-
-                        def on_slow(index, _round=round_no):
-                            self._emit(RECOVERY_SLOW, shard=index,
-                                       round_=_round,
-                                       detail=f"soft deadline "
-                                              f"{soft}s missed")
-
-                        stats.steps += sum(
-                            1 for j in range(shards)
-                            if grants[j] is not None or pending[j])
-                        replies = transport.step(
-                            grants, pending, directives,
-                            soft=soft, hard=hard, on_slow=on_slow)
-                        pending = [[] for _ in range(shards)]
-                        for j, (ne_j, fin_j, groups) in \
-                                enumerate(replies):
-                            ne[j] = ne_j
-                            finished[j] = fin_j
-                            for dst, messages in groups:
-                                for message in messages:
-                                    stats.count_frame(message[0],
-                                                      message[3])
-                                pending[dst].extend(messages)
-
-                    # ---- finish ---------------------------------------
-                    if self._chaos is not None:
-                        for shard, directive in sorted(
-                                self._chaos._armed.items()):
-                            self._emit(
-                                RECOVERY_CHAOS_SUPPRESSED,
-                                shard=shard, round_=round_no,
-                                detail=f"{directive[2]} undeliverable"
-                                       " (shard finished)")
-                        self._chaos.reset_incarnation()
-                    payloads = transport.finish(
-                        pending, hard=policy.finish_timeout_sec)
-                    transport.close()
-                    transport = None
-                    return payloads, round_no, stats
-                except _WorkerFailure as failure:
-                    kind = (RECOVERY_WORKER_HUNG
-                            if failure.kind == "hang"
-                            else RECOVERY_WORKER_LOST)
-                    self._emit(kind, shard=failure.shard,
-                               round_=round_no,
-                               detail=f"{failure.kind}: "
-                                      f"{failure.detail[:200]}")
-                    if transport is not None:
-                        transport.destroy()
-                        transport = None
-                    self._incarnation += 1
-                    if self._chaos is not None:
-                        self._chaos.reset_incarnation()
-                    restarts += 1
-                    if restarts > policy.max_restarts:
-                        raise _RungExhausted(failure)
-                    delay = min(
-                        policy.backoff_cap_sec,
-                        policy.backoff_sec * (2 ** (restarts - 1)))
-                    if delay > 0.0:
-                        time.sleep(delay)
-        finally:
-            if checkpoint is not None:
-                checkpoint.discard()
-            if transport is not None:
-                transport.destroy()

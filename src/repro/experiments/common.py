@@ -23,7 +23,7 @@ from repro.engine.simulator import Simulator
 from repro.net.link import Network
 from repro.net.topology import TopologySpec
 from repro.core import Architecture, Host, build_host
-from repro.core.costs import DEFAULT_COSTS
+from repro.host.costs import DEFAULT_COSTS
 
 #: Canonical addresses for the three-machine testbed.
 SERVER_ADDR = "10.0.0.1"

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.core import Architecture
-from repro.core.costs import DEFAULT_COSTS
+from repro.host.costs import DEFAULT_COSTS
 from repro.apps import (
     pingpong_client,
     pingpong_server,

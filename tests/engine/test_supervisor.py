@@ -3,17 +3,21 @@
 The claims pinned here (docs/PDES.md, "Fault tolerance"):
 
 1. an *unsupervised* process run surfaces a dead shard worker as a
-   clean :class:`ShardSyncError` — never a hang;
+   clean :class:`ShardSyncError` within seconds — never a hang;
 2. the supervisor survives the same failure: restore from the last
    epoch checkpoint where one exists, origin replay where none does,
    and the degradation ladder (fewer shards, then inline) when a rung
    keeps dying — always producing the same results a clean run would;
 3. every chaos directive (kill / stall / slow) from a seeded
    :class:`~repro.faults.ChaosPlan` is recovered from, and recovery
-   events are recorded *outside* the simulation trace.
+   events are recorded *outside* the simulation trace;
+4. supervision is hooks on the plain round driver, not a second
+   protocol: without checkpoints a supervised run takes exactly the
+   plain run's rounds, steps and skips.
 """
 
 import os
+import time
 
 import pytest
 
@@ -74,8 +78,12 @@ def _crashing_engine(shards):
 
 def test_unsupervised_worker_crash_raises_cleanly():
     engine = _crashing_engine(shards=2)
+    started = time.monotonic()
     with pytest.raises(ShardSyncError):
         engine.run(SHORT_USEC, seed=golden.GOLDEN_SEED)
+    # The surviving worker is killed, not waited on: it never sees EOF
+    # on its own pipe.
+    assert time.monotonic() - started < 2.0
 
 
 def test_supervised_degrades_past_crashing_worker():
@@ -104,13 +112,25 @@ def test_supervisor_gives_up_when_degradation_disabled():
 
 
 # ----------------------------------------------------------------------
-# Chaos-driven recovery on the golden cluster workloads
+# The plain protocol, and chaos-driven recovery, on the golden cluster
+# workloads
 # ----------------------------------------------------------------------
 def _supervised(key, shards, mode="process", chaos=None, policy=POLICY,
                 duration=SHORT_USEC):
     return golden.run_cluster_supervised(
         key, shards=shards, mode=mode, chaos=chaos, policy=policy,
         duration=duration)
+
+
+@pytest.mark.parametrize("mode", ("process", "inline"))
+def test_supervised_run_follows_the_plain_protocol(mode):
+    plain = golden.run_cluster_sharded("cluster-incast", shards=2,
+                                       mode=mode, duration=SHORT_USEC)
+    run = _supervised("cluster-incast", shards=2, mode=mode,
+                      policy=SupervisorPolicy())
+    assert plain.sync["skipped_steps"] > 0
+    assert run.sync == plain.sync
+    assert run.collected == plain.collected
 
 
 def test_chaos_kill_restores_from_checkpoint():
