@@ -114,25 +114,25 @@ def bench_packet_roundtrip(quick: bool = False) -> Dict[str, Any]:
     from repro.experiments.common import (
         CLIENT_A_ADDR,
         SERVER_ADDR,
-        Testbed,
     )
+    from repro.engine.component import make_world
 
     iterations = 200 if quick else 1_000
     repeats = 2 if quick else 3
 
     def run() -> Dict[str, Any]:
-        bed = Testbed(seed=7)
-        server = bed.add_host(SERVER_ADDR, Architecture.BSD)
-        client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD)
+        world = make_world(7)
+        server = world.add_host(SERVER_ADDR, Architecture.BSD)
+        client = world.add_host(CLIENT_A_ADDR, Architecture.BSD)
         recorder = LatencyRecorder()
         done: list = []
         server.spawn("pp-server", pingpong_server(9000))
         client.spawn("pp-client", pingpong_client(
-            bed.sim, SERVER_ADDR, 9000, iterations, recorder,
+            world.sim, SERVER_ADDR, 9000, iterations, recorder,
             done=done))
-        bed.run(60_000_000.0)
+        world.run(60_000_000.0)
         return {"completed": len(done) == 1,
-                "events": bed.sim.events_processed}
+                "events": world.sim.events_processed}
 
     best_wall = float("inf")
     meta: Dict[str, Any] = {}

@@ -38,6 +38,7 @@ from repro.engine.component import (
     SwitchComponent,
     cover_switches,
     make_partition,
+    make_world,
 )
 from repro.engine.event import Event, EventQueue
 from repro.engine.process import (

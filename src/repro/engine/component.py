@@ -209,29 +209,31 @@ class ChannelLink:
 
 
 class ShardWorld:
-    """What a component's hooks see: one shard's slice of the world.
+    """A simulator, a fabric, and the hosts built on it.
 
-    Carries the shard-local :class:`Simulator`, the (possibly
-    ownership-restricted) fabric, and a host registry mirroring
-    :class:`repro.experiments.common.Testbed` so experiment builders
-    port over mechanically.  In the one-shard case ``owned`` is
+    The one world type: unsharded scenarios get theirs from
+    :func:`make_world`, and each shard of a sharded run gets one
+    holding the shard-local :class:`Simulator` and an
+    ownership-restricted fabric.  In the one-shard case ``owned`` is
     ``None`` and the world is indistinguishable from an unsharded
-    scenario.
+    scenario.  A *fault_plane* is handed to every host built by
+    :meth:`add_host` (unless the caller passes its own) or registered
+    by :meth:`adopt`.
     """
 
-    def __init__(self, sim: Simulator, spec, fabric,
+    def __init__(self, sim: Simulator, fabric,
                  shard_index: int = 0, shard_count: int = 1,
                  owned: Optional[FrozenSet[str]] = None,
-                 costs=DEFAULT_COSTS) -> None:
+                 costs=DEFAULT_COSTS, fault_plane=None) -> None:
         self.sim = sim
-        self.spec = spec
         self.fabric = fabric
         self.shard_index = shard_index
         self.shard_count = shard_count
         self.owned = owned
         self.costs = costs
+        self.fault_plane = fault_plane
         #: Hosts registered via :meth:`add_host`/:meth:`adopt`; their
-        #: CPU stats are finalized when the shard finishes.
+        #: CPU stats are finalized when the run finishes.
         self.hosts: List[Any] = []
 
     def owns(self, node: str) -> bool:
@@ -241,9 +243,10 @@ class ShardWorld:
 
     def add_host(self, addr, arch, name: Optional[str] = None,
                  **kwargs):
-        """Build and register a host at *addr* (must be bound to an
-        owned node in the spec)."""
+        """Build and register a host at *addr* (on a switched fabric
+        it must be bound to an owned node in the spec)."""
         from repro.core import build_host
+        kwargs.setdefault("fault_plane", self.fault_plane)
         host = build_host(self.sim, self.fabric, addr, arch,
                           costs=self.costs, name=name, **kwargs)
         self.hosts.append(host)
@@ -252,8 +255,10 @@ class ShardWorld:
     def adopt(self, host):
         """Register a host built by other means (e.g.
         :func:`repro.core.forwarding.build_gateway`) for stat
-        finalization."""
+        finalization and the world's fault plane."""
         self.hosts.append(host)
+        if self.fault_plane is not None:
+            self.fault_plane.attach_host(host)
         return host
 
     def finalize(self) -> None:
@@ -261,6 +266,37 @@ class ShardWorld:
         the current clock; called once after the run completes."""
         for host in self.hosts:
             host.kernel.finalize_stats()
+
+    def run(self, until_usec: float) -> None:
+        """Run the simulator to *until_usec*, then :meth:`finalize`."""
+        self.sim.run_until(until_usec)
+        self.finalize()
+
+
+def make_world(seed: int = 1, spec=None, *, fault_plan=None,
+               costs=DEFAULT_COSTS, tracer=None) -> ShardWorld:
+    """Build an unsharded world.
+
+    With no *spec* the fabric is the flat shared LAN — the paper's
+    testbed; a :class:`~repro.net.topology.TopologySpec` builds a
+    switched graph instead.  A non-empty *fault_plan* becomes a
+    :class:`~repro.faults.FaultPlane` whose link rules act on the
+    fabric and whose NIC/mbuf rules act on every host the world
+    builds or adopts.  *tracer* ``None`` defers to the ambient
+    default tracer.
+    """
+    sim = Simulator(seed=seed, tracer=tracer)
+    if spec is None:
+        from repro.net.link import Network
+        fabric = Network(sim)
+    else:
+        fabric = spec.build(sim)
+    fault_plane = None
+    if fault_plan is not None and not fault_plan.empty:
+        from repro.faults import FaultPlane
+        fault_plane = FaultPlane(sim, fault_plan)
+        fault_plane.attach_network(fabric)
+    return ShardWorld(sim, fabric, costs=costs, fault_plane=fault_plane)
 
 
 def instantiate(world: ShardWorld,

@@ -4,26 +4,21 @@ The engine models time as simulated microseconds (floats).  Every
 scheduled action is represented by an :class:`Event` that can be
 cancelled before it fires.
 
-Two queue implementations live here:
+:class:`EventQueue` is a binary heap of ``(time, seq, ...)`` tuples.
+Keying the heap on plain tuples keeps every sift comparison in C
+(floats/ints) instead of calling ``Event.__lt__``, which is the single
+hottest comparison site in the simulator.  Cancellation is O(1)
+lazy-delete with *indexed accounting*: the queue counts its dead
+entries and compacts the heap when more than half of it is cancelled,
+so timer-churn workloads (TCP retransmit/delayed-ACK timers that
+almost always cancel) cannot grow the heap without bound.  Fired and
+cancelled events are pooled and reused when provably unreferenced.
+Events scheduled for the same instant fire in FIFO order (the ``seq``
+tie-break).
 
-* :class:`EventQueue` — the production queue: a binary heap of
-  ``(time, seq, ...)`` tuples.  Keying the heap on plain tuples keeps
-  every sift comparison in C (floats/ints) instead of calling
-  ``Event.__lt__``, which is the single hottest comparison site in the
-  simulator.  Cancellation is O(1) lazy-delete with *indexed
-  accounting*: the queue counts its dead entries and compacts the heap
-  when more than half of it is cancelled, so timer-churn workloads
-  (TCP retransmit/delayed-ACK timers that almost always cancel) cannot
-  grow the heap without bound.  Fired and cancelled events are pooled
-  and reused when provably unreferenced.
-* :class:`LegacyEventQueue` — the pre-overhaul implementation (heap of
-  ``Event`` objects ordered by ``Event.__lt__``), kept verbatim as the
-  differential-testing oracle: the property suite runs arbitrary
-  schedule/cancel/pop interleavings against both queues and requires
-  identical observable behaviour (tests/engine/).
-
-Events scheduled for the same instant fire in FIFO order in both
-implementations (the ``seq`` tie-break).
+The property suite in tests/engine/ checks it against the
+pre-overhaul heap of ``Event`` objects, which the tests keep as their
+differential oracle.
 """
 
 from __future__ import annotations
@@ -237,45 +232,3 @@ class EventQueue:
                 event.args = ()
                 pool.append(event)
 
-
-class LegacyEventQueue:
-    """The pre-overhaul queue: a heap of :class:`Event` objects.
-
-    Kept as the differential-testing oracle for :class:`EventQueue`;
-    not used by the simulator.  Its observable behaviour (time order,
-    FIFO tie-break, cancellation semantics) is the specification the
-    production queue is property-tested against.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._seq = itertools.count()
-
-    def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
-
-    def push(self, time: float, callback: Callable[..., Any],
-             args: tuple = ()) -> Event:
-        """Schedule *callback(*args)* at absolute simulated *time*."""
-        event = Event(time, next(self._seq), callback, args)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the next live event, or ``None``."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0].time
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or ``None`` if empty."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)
-
-    def _drop_cancelled(self) -> None:
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)

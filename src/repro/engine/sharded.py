@@ -100,13 +100,13 @@ from repro.engine.component import (
     cover_switches,
     instantiate,
     make_partition,
+    make_world,
 )
 from repro.engine.simulator import Simulator
 from repro.host.costs import DEFAULT_COSTS
 from repro.trace.merge import (
     merge_records,
     parity_digest,
-    raw_digest,
     shipped_records,
 )
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -181,7 +181,6 @@ class _ShardRuntime:
         # interleave garbage into it.
         tracer = (Tracer(capacity=None) if program.trace
                   else (None if partition.shards == 1 else NULL_TRACER))
-        self.sim = Simulator(seed=program.seed, tracer=tracer)
 
         #: Frames exported this window, bucketed per destination
         #: shard as ``{dst_shard: [(rank, arrival, seq, frame,
@@ -197,19 +196,20 @@ class _ShardRuntime:
                          if ch.dst_shard == index}
 
         if partition.shards == 1:
-            # The unsharded special case takes the exact pre-sharding
-            # construction path (no ownership filter, no boundary), so
-            # its event order is byte-identical to the golden traces.
-            owned = None
-            fabric = program.spec.build(self.sim)
+            # The unsharded special case is the unsharded world (no
+            # ownership filter, no boundary), so its event order is
+            # byte-identical to the golden traces.
+            self.world = make_world(program.seed, program.spec,
+                                    costs=program.costs, tracer=tracer)
         else:
+            sim = Simulator(seed=program.seed, tracer=tracer)
             owned = partition.owned_nodes(index)
-            fabric = program.spec.build(self.sim, owned_nodes=owned,
+            fabric = program.spec.build(sim, owned_nodes=owned,
                                         boundary=self._emit)
-        self.world = ShardWorld(self.sim, program.spec, fabric,
-                                shard_index=index,
-                                shard_count=partition.shards,
-                                owned=owned, costs=program.costs)
+            self.world = ShardWorld(sim, fabric, shard_index=index,
+                                    shard_count=partition.shards,
+                                    owned=owned, costs=program.costs)
+        self.sim = self.world.sim
         if program.prepare is not None:
             program.prepare(self.world)
         self.states = instantiate(self.world, program.components)
@@ -1147,13 +1147,6 @@ class ShardedRun:
                 f"exported={total['exported']} "
                 f"imported={total['imported']}")
         return total
-
-    def raw_trace_digest(self) -> Optional[Dict[str, Any]]:
-        """Order-sensitive digest of the merged stream (meaningful
-        for golden comparison only at one shard)."""
-        if self.records is None:
-            return None
-        return raw_digest(self.records)
 
 
 # ----------------------------------------------------------------------

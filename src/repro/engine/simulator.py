@@ -328,7 +328,3 @@ class Simulator:
     def stop(self) -> None:
         """Stop the currently executing :meth:`run` / :meth:`run_until`."""
         self._running = False
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.component import make_world
 from repro.engine.process import Compute, Syscall
 from repro.core import Architecture
 from repro.apps import pingpong_client, pingpong_server, spinner, \
@@ -34,7 +35,6 @@ from repro.experiments.common import (
     CLIENT_A_ADDR,
     CLIENT_C_ADDR,
     SERVER_ADDR,
-    Testbed,
     delayed,
 )
 
@@ -58,9 +58,9 @@ def run_corrupt_flood_point(arch: Architecture, rate_pps: float,
     the channel itself is the feedback queue, so the flood is shed as
     soon as the receiver falls behind.
     """
-    bed = Testbed(seed=seed)
-    server = bed.add_host(SERVER_ADDR, arch)
-    injector = RawUdpInjector(bed.sim, bed.network, CLIENT_C_ADDR,
+    world = make_world(seed)
+    server = world.add_host(SERVER_ADDR, arch)
+    injector = RawUdpInjector(world.sim, world.fabric, CLIENT_C_ADDR,
                               SERVER_ADDR, 9000)
     injector.corrupt_fraction = 1.0
 
@@ -69,8 +69,8 @@ def run_corrupt_flood_point(arch: Architecture, rate_pps: float,
     def victim():
         while True:
             yield Compute(1_000.0)
-            if bed.sim.now >= warmup_usec:
-                progress.append(bed.sim.now)
+            if world.sim.now >= warmup_usec:
+                progress.append(world.sim.now)
 
     def sink():
         sock = yield Syscall("socket", stype="udp")
@@ -80,8 +80,8 @@ def run_corrupt_flood_point(arch: Architecture, rate_pps: float,
 
     server.spawn("victim", victim())
     server.spawn("flooded-sink", sink())
-    bed.sim.schedule(50_000.0, injector.start, rate_pps)
-    bed.run(warmup_usec + window_usec)
+    world.sim.schedule(50_000.0, injector.start, rate_pps)
+    world.run(warmup_usec + window_usec)
 
     victim_cpu_share = len(progress) * 1_000.0 / window_usec
     return {"rate_pps": rate_pps,
@@ -116,12 +116,12 @@ def run_accounting_point(policy: str, background_pps: float,
                          warmup_usec: float = 400_000.0,
                          seed: int = 1) -> float:
     """Figure 4's workload on BSD under a given accounting policy."""
-    bed = Testbed(seed=seed)
-    server = bed.add_host(SERVER_ADDR, Architecture.BSD,
-                          accounting_policy=policy)
-    client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD,
-                          accounting_policy=policy)
-    injector = RawUdpInjector(bed.sim, bed.network, CLIENT_C_ADDR,
+    world = make_world(seed)
+    server = world.add_host(SERVER_ADDR, Architecture.BSD,
+                            accounting_policy=policy)
+    client = world.add_host(CLIENT_A_ADDR, Architecture.BSD,
+                            accounting_policy=policy)
+    injector = RawUdpInjector(world.sim, world.fabric, CLIENT_C_ADDR,
                               SERVER_ADDR, 9000)
     recorder = LatencyRecorder()
     server.spawn("pp-server", pingpong_server(7000))
@@ -129,12 +129,12 @@ def run_accounting_point(policy: str, background_pps: float,
     server.spawn("spin-b", spinner(), nice=20)
     client.spawn("pp-client",
                  delayed(20_000.0, pingpong_client(
-                     bed.sim, SERVER_ADDR, 7000, 10_000_000,
+                     world.sim, SERVER_ADDR, 7000, 10_000_000,
                      recorder)))
     client.spawn("spin-a", spinner(), nice=20)
     if background_pps > 0:
-        bed.sim.schedule(50_000.0, injector.start, background_pps)
-    bed.run(duration_usec)
+        world.sim.schedule(50_000.0, injector.start, background_pps)
+    world.run(duration_usec)
     samples = recorder.samples_since(warmup_usec)
     return (sum(samples) / len(samples)) if samples else float("nan")
 

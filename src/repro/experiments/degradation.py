@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.component import make_world
 from repro.core import MODERN_ARCHES, Architecture
 from repro.engine.component import HostComponent, SourceComponent
 from repro.engine.process import Sleep, Syscall
@@ -49,7 +50,6 @@ from repro.experiments.common import (
     CLIENT_C_ADDR,
     MAIN_SYSTEMS,
     SERVER_ADDR,
-    Testbed,
 )
 
 VICTIM_PORT = 7100
@@ -395,9 +395,9 @@ def run_tcp_point(arch: Architecture, intensity: float,
                       probability=0.15 * intensity, name="tcp-corrupt"),
         )
     plan = FaultPlan(seed=seed, rules=rules)
-    bed = Testbed(seed=seed, fault_plan=plan)
-    server = bed.add_host(SERVER_ADDR, arch, cores=cores)
-    client = bed.add_host(CLIENT_A_ADDR, arch, cores=cores)
+    world = make_world(seed, fault_plan=plan)
+    server = world.add_host(SERVER_ADDR, arch, cores=cores)
+    client = world.add_host(CLIENT_A_ADDR, arch, cores=cores)
 
     received: List[int] = []
     socks: List = []
@@ -406,15 +406,15 @@ def run_tcp_point(arch: Architecture, intensity: float,
                                    chunk=4096, socks=socks))
 
     limit = 30_000_000.0
-    while not received and bed.sim.now < limit:
-        bed.sim.run_until(bed.sim.now + 100_000.0)
+    while not received and world.sim.now < limit:
+        world.sim.run_until(world.sim.now + 100_000.0)
 
     max_backoff = 1
     for sock in socks:
         if sock.pcb is not None:
             max_backoff = max(max_backoff, sock.pcb.max_backoff)
 
-    plane = bed.fault_plane
+    plane = world.fault_plane
     rexmt = (server.stack.stats.get("tcp_rexmt_timeouts")
              + client.stack.stats.get("tcp_rexmt_timeouts"))
     return {
@@ -422,7 +422,7 @@ def run_tcp_point(arch: Architecture, intensity: float,
         "bytes_expected": nbytes,
         "bytes_received": received[0] if received else 0,
         "complete": bool(received) and received[0] == nbytes,
-        "elapsed_usec": _num(bed.sim.now, 1),
+        "elapsed_usec": _num(world.sim.now, 1),
         "tcp_rexmt_timeouts": rexmt,
         "max_backoff": max_backoff,
         "injected_faults": plane.injected_total() if plane else 0,

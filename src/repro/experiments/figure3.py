@@ -27,14 +27,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.component import (
     HostComponent,
-    ShardWorld,
     SourceComponent,
     cover_switches,
     instantiate,
+    make_world,
 )
 from repro.engine.process import Syscall
 from repro.engine.sharded import ShardedEngine
-from repro.engine.simulator import Simulator
 from repro.core import MODERN_ARCHES, Architecture
 from repro.net.topology import TopologySpec, passthrough_spec
 from repro.runner import SweepRunner
@@ -203,9 +202,8 @@ def run_point(arch: Architecture, rate_pps: float,
         # The probed path needs mid-run phase splits, which the
         # round-driven engine does not expose; run the identical
         # one-shard world directly (event-for-event the same).
-        sim = Simulator(seed=seed)
-        fabric = spec.build(sim)
-        world = ShardWorld(sim, spec, fabric)
+        world = make_world(seed, spec)
+        sim = world.sim
         covered = cover_switches(spec, comps)
         states = instantiate(world, covered)
         with probe.phase("warmup", sim):
@@ -218,7 +216,7 @@ def run_point(arch: Architecture, rate_pps: float,
                      for comp in covered}
         server = collected["server"]
         sent = collected["client"]
-        drop_wire = fabric.drops_congestion
+        drop_wire = world.fabric.drops_congestion
         events = sim.events_processed
         sync = None
     else:

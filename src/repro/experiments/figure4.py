@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.component import make_world
 from repro.core import Architecture
 from repro.runner import SweepRunner
 from repro.apps import pingpong_client, pingpong_server, spinner, \
@@ -33,7 +34,6 @@ from repro.experiments.common import (
     CLIENT_C_ADDR,
     MAIN_SYSTEMS,
     SERVER_ADDR,
-    Testbed,
     delayed,
 )
 
@@ -46,10 +46,10 @@ def run_point(arch: Architecture, background_pps: float,
               duration_usec: float = 2_000_000.0,
               warmup_usec: float = 400_000.0,
               seed: int = 1) -> Dict[str, float]:
-    bed = Testbed(seed=seed)
-    server = bed.add_host(SERVER_ADDR, arch)
-    client = bed.add_host(CLIENT_A_ADDR, arch)
-    injector = RawUdpInjector(bed.sim, bed.network, CLIENT_C_ADDR,
+    world = make_world(seed)
+    server = world.add_host(SERVER_ADDR, arch)
+    client = world.add_host(CLIENT_A_ADDR, arch)
+    injector = RawUdpInjector(world.sim, world.fabric, CLIENT_C_ADDR,
                               SERVER_ADDR, BLAST_PORT)
 
     recorder = LatencyRecorder()
@@ -60,13 +60,13 @@ def run_point(arch: Architecture, background_pps: float,
     # Client machine: ping-pong client plus its own spinner.
     client.spawn("pingpong-cli",
                  delayed(20_000.0, pingpong_client(
-                     bed.sim, SERVER_ADDR, PINGPONG_PORT,
+                     world.sim, SERVER_ADDR, PINGPONG_PORT,
                      iterations=10_000_000, recorder=recorder)))
     client.spawn("spin-a", spinner(), nice=20)
 
     if background_pps > 0:
-        bed.sim.schedule(50_000.0, injector.start, background_pps)
-    bed.run(duration_usec)
+        world.sim.schedule(50_000.0, injector.start, background_pps)
+    world.run(duration_usec)
 
     # Measure only round trips completed after the background flood
     # is established (start-up, cold caches, scheduler settling and

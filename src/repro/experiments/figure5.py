@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.component import make_world
 from repro.core import Architecture
 from repro.apps import dummy_server, http_client, httpd_master
 from repro.runner import SweepRunner
@@ -32,7 +33,6 @@ from repro.experiments.common import (
     CLIENT_A_ADDR,
     CLIENT_C_ADDR,
     SERVER_ADDR,
-    Testbed,
     delayed,
 )
 
@@ -49,13 +49,13 @@ def run_point(arch: Architecture, syn_pps: float,
               warmup_usec: float = 500_000.0,
               window_usec: float = 1_000_000.0,
               seed: int = 1) -> Dict[str, float]:
-    bed = Testbed(seed=seed)
-    server = bed.add_host(SERVER_ADDR, arch,
-                          time_wait_usec=TIME_WAIT_USEC,
-                          redundant_pcb_lookup=True)
-    clients = bed.add_host(CLIENT_A_ADDR, Architecture.BSD,
-                           time_wait_usec=TIME_WAIT_USEC)
-    injector = RawSynInjector(bed.sim, bed.network, CLIENT_C_ADDR,
+    world = make_world(seed)
+    server = world.add_host(SERVER_ADDR, arch,
+                            time_wait_usec=TIME_WAIT_USEC,
+                            redundant_pcb_lookup=True)
+    clients = world.add_host(CLIENT_A_ADDR, Architecture.BSD,
+                             time_wait_usec=TIME_WAIT_USEC)
+    injector = RawSynInjector(world.sim, world.fabric, CLIENT_C_ADDR,
                               SERVER_ADDR, DUMMY_PORT)
 
     served: List[float] = []
@@ -68,10 +68,10 @@ def run_point(arch: Architecture, syn_pps: float,
                       delayed(30_000.0 + i * 2_000.0,
                               http_client(SERVER_ADDR, HTTP_PORT,
                                           completions=completions,
-                                          clock=bed.sim)))
+                                          clock=world.sim)))
     if syn_pps > 0:
-        bed.sim.schedule(100_000.0, injector.start, syn_pps)
-    bed.run(warmup_usec + window_usec)
+        world.sim.schedule(100_000.0, injector.start, syn_pps)
+    world.run(warmup_usec + window_usec)
 
     transfers = sum(1 for t in completions if t >= warmup_usec)
     stats = server.stack.stats

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.engine.component import make_world
 from repro.engine.process import Syscall
 from repro.core import Architecture
 from repro.host.costs import DEFAULT_COSTS
 from repro.runner import SweepRunner
 from repro.stats.report import format_table
 from repro.workloads import RawUdpInjector
-from repro.experiments.common import CLIENT_A_ADDR, SERVER_ADDR, Testbed
+from repro.experiments.common import CLIENT_A_ADDR, SERVER_ADDR
 
 #: The constants that carry the calibration.
 PARAMETERS = ("hw_intr", "soft_demux", "sw_intr_dispatch", "ip_input",
@@ -39,9 +40,9 @@ PROBE_RATES = (6_000, 9_000, 20_000)
 def _throughput(arch: Architecture, rate: float, costs,
                 warmup: float = 200_000.0,
                 window: float = 300_000.0) -> float:
-    bed = Testbed(seed=1, costs=costs)
-    server = bed.add_host(SERVER_ADDR, arch)
-    injector = RawUdpInjector(bed.sim, bed.network, CLIENT_A_ADDR,
+    world = make_world(costs=costs)
+    server = world.add_host(SERVER_ADDR, arch)
+    injector = RawUdpInjector(world.sim, world.fabric, CLIENT_A_ADDR,
                               SERVER_ADDR, 9000)
     count = [0]
 
@@ -50,12 +51,12 @@ def _throughput(arch: Architecture, rate: float, costs,
         yield Syscall("bind", sock=sock, port=9000)
         while True:
             yield Syscall("recvfrom", sock=sock)
-            if bed.sim.now >= warmup:
+            if world.sim.now >= warmup:
                 count[0] += 1
 
     server.spawn("sink", sink())
-    bed.sim.schedule(20_000.0, injector.start, rate)
-    bed.run(warmup + window)
+    world.sim.schedule(20_000.0, injector.start, rate)
+    world.run(warmup + window)
     return count[0] * 1e6 / window
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from repro.engine.component import make_world
 from repro.core import Architecture
 from repro.host.costs import DEFAULT_COSTS
 from repro.apps import (
@@ -34,7 +35,6 @@ from repro.stats.report import format_table
 from repro.experiments.common import (
     CLIENT_A_ADDR,
     SERVER_ADDR,
-    Testbed,
     delayed,
 )
 
@@ -50,28 +50,28 @@ def _build(system, seed: int):
     if system == "SunOS-Fore":
         costs = DEFAULT_COSTS.with_overrides(
             hw_intr=DEFAULT_COSTS.hw_intr + FORE_DRIVER_EXTRA_USEC)
-        bed = Testbed(seed=seed, costs=costs)
+        world = make_world(seed, costs=costs)
         arch = Architecture.BSD
     else:
-        bed = Testbed(seed=seed)
+        world = make_world(seed)
         arch = system
-    server = bed.add_host(SERVER_ADDR, arch)
-    client = bed.add_host(CLIENT_A_ADDR, arch)
-    return bed, server, client
+    server = world.add_host(SERVER_ADDR, arch)
+    client = world.add_host(CLIENT_A_ADDR, arch)
+    return world, server, client
 
 
 def measure_latency(system, iterations: int = 2000,
                     seed: int = 1) -> float:
     """Mean 1-byte ping-pong RTT in microseconds."""
-    bed, server, client = _build(system, seed)
+    world, server, client = _build(system, seed)
     recorder = LatencyRecorder()
     done = []
     server.spawn("pp-server", pingpong_server(7))
     client.spawn("pp-client",
                  delayed(20_000.0, pingpong_client(
-                     bed.sim, SERVER_ADDR, 7, iterations, recorder,
+                     world.sim, SERVER_ADDR, 7, iterations, recorder,
                      done=done)))
-    bed.run(iterations * 4_000.0 + 100_000.0)
+    world.run(iterations * 4_000.0 + 100_000.0)
     samples = recorder.samples[100:]  # warmup trim
     return sum(samples) / len(samples) if samples else float("nan")
 
@@ -81,7 +81,7 @@ def measure_udp_throughput(system, total_mb: float = 8.0,
                            seed: int = 1) -> float:
     """Sliding-window UDP goodput in Mbit/s (checksums off, as in the
     paper)."""
-    bed, server, client = _build(system, seed)
+    world, server, client = _build(system, seed)
     total_msgs = int(total_mb * 1024 * 1024 / msg_bytes)
     received = []
     done = []
@@ -92,9 +92,9 @@ def measure_udp_throughput(system, total_mb: float = 8.0,
                      ack_port=5002, done=done)))
     limit = 60_000_000.0
     start = 20_000.0
-    while not done and bed.sim.now < limit:
-        bed.sim.run_until(bed.sim.now + 5_000.0)
-    elapsed = bed.sim.now - start
+    while not done and world.sim.now < limit:
+        world.sim.run_until(world.sim.now + 5_000.0)
+    elapsed = world.sim.now - start
     bytes_done = sum(received)
     return bytes_done * 8.0 / elapsed  # bits/usec == Mbit/s
 
@@ -103,7 +103,7 @@ def measure_tcp_throughput(system, total_mb: float = 24.0,
                            buf_bytes: int = 32 * 1024,
                            seed: int = 1) -> float:
     """Bulk TCP goodput in Mbit/s (24 MB, 32 KB buffers)."""
-    bed, server, client = _build(system, seed)
+    world, server, client = _build(system, seed)
     total_bytes = int(total_mb * 1024 * 1024)
     finished = []
 
@@ -119,7 +119,7 @@ def measure_tcp_throughput(system, total_mb: float = 24.0,
             if n == 0:
                 break
             got += n
-        finished.append((bed.sim.now, got))
+        finished.append((world.sim.now, got))
 
     def sender():
         sock = yield Syscall("socket", stype="tcp",
@@ -136,8 +136,8 @@ def measure_tcp_throughput(system, total_mb: float = 24.0,
     server.spawn("tcp-sink", receiver())
     client.spawn("tcp-src", delayed(20_000.0, sender()))
     limit = 120_000_000.0
-    while not finished and bed.sim.now < limit:
-        bed.sim.run_until(bed.sim.now + 100_000.0)
+    while not finished and world.sim.now < limit:
+        world.sim.run_until(world.sim.now + 100_000.0)
     if not finished:
         return float("nan")
     end, got = finished[0]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Sequence
 
+from repro.engine.component import make_world
 from repro.engine.process import Sleep, Syscall
 from repro.core import Architecture
 from repro.apps import rpc_server, rpc_single_call_client
@@ -33,7 +34,6 @@ from repro.experiments.common import (
     CLIENT_A_ADDR,
     MAIN_SYSTEMS,
     SERVER_ADDR,
-    Testbed,
     delayed,
 )
 
@@ -72,9 +72,9 @@ def rpc_window_client(dst_addr, dst_port: int, window: int,
 def run_point(arch: Architecture, speed: str,
               scale: float = 0.2, seed: int = 1,
               window: int = 4) -> Dict[str, float]:
-    bed = Testbed(seed=seed)
-    server = bed.add_host(SERVER_ADDR, arch)
-    client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD)
+    world = make_world(seed)
+    server = world.add_host(SERVER_ADDR, arch)
+    client = world.add_host(CLIENT_A_ADDR, Architecture.BSD)
 
     worker_cpu = WORKER_CPU_USEC * scale
     work = SPEEDS[speed]
@@ -84,11 +84,11 @@ def run_point(arch: Architecture, speed: str,
     # Server machine: worker + two RPC servers.
     from repro.apps.compute import rpc_worker
     worker_proc = server.spawn(
-        "worker", rpc_worker(WORKER_PORT, worker_cpu, bed.sim),
+        "worker", rpc_worker(WORKER_PORT, worker_cpu, world.sim),
         working_set_kb=WORKER_WS_KB)
     for port in RPC_PORTS:
         server.spawn(f"rpc-{port}",
-                     rpc_server(port, work, bed.sim, completed),
+                     rpc_server(port, work, world.sim, completed),
                      working_set_kb=32.0)
 
     # Client machine: one window client per RPC server plus the
@@ -99,18 +99,18 @@ def run_point(arch: Architecture, speed: str,
                          SERVER_ADDR, port, window)))
     client.spawn("cli-worker",
                  delayed(60_000.0, rpc_single_call_client(
-                     SERVER_ADDR, WORKER_PORT, bed.sim, worker_result)))
+                     SERVER_ADDR, WORKER_PORT, world.sim, worker_result)))
 
     limit = worker_cpu * 12 + 2_000_000.0
-    while not worker_result and bed.sim.now < limit:
-        bed.sim.run_until(bed.sim.now + 50_000.0)
-    bed.sim.run_until(bed.sim.now + 1.0)
+    while not worker_result and world.sim.now < limit:
+        world.sim.run_until(world.sim.now + 50_000.0)
+    world.sim.run_until(world.sim.now + 1.0)
 
     if worker_result:
         start, end = worker_result[0]
         elapsed = end - start
     else:
-        start, end, elapsed = 60_000.0, bed.sim.now, float("nan")
+        start, end, elapsed = 60_000.0, world.sim.now, float("nan")
     rpcs_in_window = sum(1 for t in completed if start <= t <= end)
     rpc_rate = (rpcs_in_window * 1e6 / elapsed
                 if elapsed == elapsed else float("nan"))

@@ -124,16 +124,6 @@ class Cpu:
     def current(self):
         return self._current
 
-    @property
-    def is_idle(self) -> bool:
-        return self._current is None and not self._hw and not self._sw
-
-    def interrupted_process(self):
-        """The process an accounting policy should consider
-        'interrupted' right now (may be ``None`` if the CPU was idle)."""
-        ctx = self.last_process_running
-        return ctx.proc if ctx is not None else None
-
     # ------------------------------------------------------------------
     # Dispatch machinery
     # ------------------------------------------------------------------
@@ -360,13 +350,3 @@ class CpuSet:
     def finalize_stats(self) -> None:
         for cpu in self.cores:
             cpu.finalize_stats()
-
-    def total_time_by_class(self) -> dict:
-        total = {HARDWARE: 0.0, SOFTWARE: 0.0, PROCESS: 0.0}
-        for cpu in self.cores:
-            for klass, usec in cpu.time_by_class.items():
-                total[klass] += usec
-        return total
-
-    def total_idle_time(self) -> float:
-        return sum(cpu.idle_time for cpu in self.cores)

@@ -57,11 +57,6 @@ class MultiQueueNic(BaseNic):
             self.rx_ring_used[queue] -= 1
         return release
 
-    def reseed(self, seed: int) -> None:
-        """Install a new RSS key; in-flight ring contents are kept
-        (re-seeding redistributes future frames, it drops nothing)."""
-        self.hasher = RssHasher(seed)
-
     def receive_frame(self, frame: Frame) -> None:
         self.rx_frames += 1
         trace = self.sim.trace

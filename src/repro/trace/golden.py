@@ -241,19 +241,17 @@ def _run_cluster(key: str, tracer: Tracer) -> Tracer:
     order the golden files pin (and the one-shard sharded run must
     reproduce byte-for-byte)."""
     from repro.engine.component import (
-        ShardWorld,
         cover_switches,
         instantiate,
+        make_world,
     )
-    from repro.engine.simulator import Simulator
 
     spec, components, prepare = cluster_world(key)
-    sim = Simulator(seed=GOLDEN_SEED, tracer=tracer)
-    world = ShardWorld(sim, spec, spec.build(sim))
+    world = make_world(GOLDEN_SEED, spec, tracer=tracer)
     if prepare is not None:
         prepare(world)
     instantiate(world, cover_switches(spec, components))
-    sim.run_until(GOLDEN_DURATION)
+    world.sim.run_until(GOLDEN_DURATION)
     return tracer
 
 
@@ -303,31 +301,21 @@ def run_cluster_supervised(key: str, shards: int = 1,
                                  policy=policy, chaos=chaos)
 
 
-def run_golden_workload(arch_key: str,
-                        tracer: Optional[Tracer] = None) -> Tracer:
+def run_golden_workload(arch_key: str) -> Tracer:
     """Run the canonical workload on *arch_key*'s architecture with
     tracing enabled; returns the (unbounded) tracer."""
-    from repro.core import Architecture, build_host
+    from repro.core import Architecture
+    from repro.engine.component import make_world
     from repro.engine.process import Sleep, Syscall
-    from repro.engine.simulator import Simulator
-    from repro.net.link import Network
 
-    if tracer is None:
-        tracer = Tracer(capacity=None)
+    tracer = Tracer(capacity=None)
     if arch_key in CLUSTER_KEYS:
         return _run_cluster(arch_key, tracer)
-    sim = Simulator(seed=GOLDEN_SEED, tracer=tracer)
-    network = Network(sim)
-    fault_plane = None
-    if arch_key.endswith("-faults"):
-        from repro.faults import FaultPlane
-        fault_plane = FaultPlane(sim, _golden_fault_plan())
-        fault_plane.attach_network(network)
-    server = build_host(sim, network, "10.0.0.1", _arch_of(arch_key),
-                        fault_plane=fault_plane,
-                        **_server_kwargs(arch_key))
-    client = build_host(sim, network, "10.0.0.2", Architecture.BSD,
-                        fault_plane=fault_plane)
+    plan = _golden_fault_plan() if arch_key.endswith("-faults") else None
+    world = make_world(GOLDEN_SEED, fault_plan=plan, tracer=tracer)
+    server = world.add_host("10.0.0.1", _arch_of(arch_key),
+                            **_server_kwargs(arch_key))
+    client = world.add_host("10.0.0.2", Architecture.BSD)
 
     def udp_sink():
         sock = yield Syscall("socket", stype="udp")
@@ -370,7 +358,7 @@ def run_golden_workload(arch_key: str,
     server.spawn("tcp-server", tcp_server())
     client.spawn("udp-client", udp_client())
     client.spawn("tcp-client", tcp_client())
-    sim.run_until(GOLDEN_DURATION)
+    world.sim.run_until(GOLDEN_DURATION)
     return tracer
 
 

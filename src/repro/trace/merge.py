@@ -8,10 +8,9 @@ to digests comparable across shard counts.
 Two digests exist because sharding preserves *causal* order but not
 *tie* order:
 
-* :func:`raw_digest` — the order-sensitive hash
-  :meth:`Tracer.digest` computes, reproduced from shipped records.
-  For a one-shard run it is byte-identical to the unsharded tracer's
-  ``order_hash`` (the golden files pin this).
+* the order-sensitive hash :meth:`Tracer.digest` computes, which
+  each shard ships with its records.  For a one-shard run it is the
+  unsharded tracer's ``order_hash`` (the golden files pin this).
 * :func:`parity_digest` — timestamp-canonical: records sharing an
   identical timestamp are sorted by their canonical rendering before
   hashing.  Within one simulator, same-time events fire in schedule
@@ -70,16 +69,6 @@ def _digest_over(lines: Iterable[str], counts: Dict[str, int],
         hasher.update(b"\n")
     return {"n": n, "counts": dict(sorted(counts.items())),
             key: hasher.hexdigest()}
-
-
-def raw_digest(records: Sequence[ShippedRecord]) -> Dict[str, Any]:
-    """The order-sensitive digest of *records* as shipped — identical
-    to :meth:`Tracer.digest` over the same underlying trace."""
-    counts: Dict[str, int] = {}
-    for _, etype, _line in records:
-        counts[etype] = counts.get(etype, 0) + 1
-    return _digest_over((line for _, _, line in records), counts,
-                        len(records), "order_hash")
 
 
 def parity_digest(records: Sequence[ShippedRecord]) -> Dict[str, Any]:

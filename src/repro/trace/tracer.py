@@ -130,7 +130,6 @@ class Tracer:
         self._seq = 0
         self._sim = None
         self._sink = None
-        self._sink_owned = False
 
     # ------------------------------------------------------------------
     # Wiring
@@ -145,18 +144,11 @@ class Tracer:
         """Stream every subsequent record to *path* as JSON lines (in
         addition to the ring buffer)."""
         self._sink = open(path, "w")
-        self._sink_owned = True
-
-    def set_sink(self, fileobj) -> None:
-        """Stream records to an already-open file object."""
-        self._sink = fileobj
-        self._sink_owned = False
 
     def close(self) -> None:
-        if self._sink is not None and self._sink_owned:
+        if self._sink is not None:
             self._sink.close()
         self._sink = None
-        self._sink_owned = False
 
     # ------------------------------------------------------------------
     # Core emit

@@ -7,6 +7,7 @@ determinism (docs/PDES.md's contract)."""
 
 import pytest
 
+from repro.core import Architecture, build_host
 from repro.engine.component import (
     Component,
     HostComponent,
@@ -16,14 +17,19 @@ from repro.engine.component import (
     SwitchComponent,
     cover_switches,
     make_partition,
+    make_world,
 )
+from repro.faults import FaultPlan, FaultPlane, FaultRule
+from repro.net.link import Network
 from repro.net.topology import (
     BindingSpec,
     LinkSpec,
     SwitchSpec,
+    Topology,
     TopologySpec,
     gateway_chain_spec,
     incast_spec,
+    passthrough_spec,
 )
 
 
@@ -164,3 +170,48 @@ class TestPartitioner:
         assert partition.channels  # the chain always cuts somewhere
         covered = {n for names in partition.assignment for n in names}
         assert covered == {c.name for c in components}
+
+
+def _drop_plan(seed=1):
+    return FaultPlan(seed=seed, rules=(
+        FaultRule("link", "drop", probability=0.5),))
+
+
+class TestMakeWorld:
+    @pytest.mark.parametrize("spec, fabric_type", [
+        (None, Network), (passthrough_spec(), Topology)])
+    def test_fabric_is_the_flat_lan_unless_given_a_spec(
+            self, spec, fabric_type):
+        world = make_world(3, spec)
+        assert type(world.fabric) is fabric_type
+        assert world.sim.seed == 3
+        assert world.fault_plane is None
+        assert world.fabric.fault_plane is None
+
+    def test_empty_fault_plan_builds_no_plane(self):
+        world = make_world(fault_plan=FaultPlan(seed=1))
+        assert world.fault_plane is None
+
+    @pytest.mark.parametrize("register", ["add_host", "adopt"])
+    def test_world_plane_reaches_fabric_and_hosts(self, register):
+        world = make_world(fault_plan=_drop_plan())
+        plane = world.fault_plane
+        assert isinstance(plane, FaultPlane)
+        assert world.fabric.fault_plane is plane
+        if register == "add_host":
+            host = world.add_host("10.0.0.1", Architecture.BSD)
+        else:
+            host = world.adopt(build_host(world.sim, world.fabric,
+                                          "10.0.0.1", Architecture.BSD))
+        assert world.hosts == [host]
+        assert host.stack.fault_plane is plane
+        assert host.nic.fault_plane is plane
+
+    @pytest.mark.parametrize("own", [True, False])
+    def test_explicit_plane_takes_precedence(self, own):
+        world = make_world(fault_plan=_drop_plan())
+        plane = FaultPlane(world.sim, _drop_plan(seed=2)) if own else None
+        host = world.add_host("10.0.0.1", Architecture.BSD,
+                              fault_plane=plane)
+        assert host.stack.fault_plane is plane
+        assert host.nic.fault_plane is plane

@@ -2,8 +2,8 @@
 
 The hot-path overhaul replaced the heap-of-Events queue with a
 tuple-keyed, lazy-delete, pooling implementation.  The old queue is
-kept verbatim as :class:`~repro.engine.event.LegacyEventQueue` — the
-*oracle*.  These tests run arbitrary interleavings of schedule /
+kept verbatim as :class:`~tests.engine.legacy_queue.LegacyEventQueue`
+— the *oracle*.  These tests run arbitrary interleavings of schedule /
 cancel / pop / peek (including detached entries, compaction-triggering
 cancel storms, and pool reuse) against both implementations and
 require identical observable behaviour at every step.
@@ -11,11 +11,8 @@ require identical observable behaviour at every step.
 
 import pytest
 
-from repro.engine.event import (
-    _COMPACT_MIN,
-    EventQueue,
-    LegacyEventQueue,
-)
+from repro.engine.event import _COMPACT_MIN, EventQueue
+from tests.engine.legacy_queue import LegacyEventQueue
 
 try:
     from hypothesis import given, settings

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.engine import Simulator
+from repro.engine import Simulator, make_world
 from repro.faults import FaultPlan, FaultPlane, FaultRule
 from repro.net.ip import IPPROTO_UDP, IpPacket
 from repro.net.packet import Frame
 from repro.net.udp import UdpDatagram
 from repro.core import Architecture
-from repro.experiments.common import SERVER_ADDR, Testbed
+from repro.experiments.common import SERVER_ADDR
 
 
 def _frame(dst_port=9000):
@@ -135,16 +135,16 @@ def test_mbuf_exhaust_window_reserves_and_releases():
     plan = FaultPlan(seed=1, rules=[
         FaultRule("mbuf", "exhaust", start_usec=1_000.0,
                   end_usec=2_000.0, magnitude=100)])
-    bed = Testbed(seed=1, fault_plan=plan)
-    host = bed.add_host(SERVER_ADDR, Architecture.BSD)
+    world = make_world(1, fault_plan=plan)
+    host = world.add_host(SERVER_ADDR, Architecture.BSD)
     pool = host.stack.mbufs
     baseline = pool.available
-    bed.run(500.0)
+    world.run(500.0)
     assert pool.fault_reserved == 0
-    bed.run(1_500.0)
+    world.run(1_500.0)
     assert pool.fault_reserved == 100
     assert pool.available == baseline - 100
-    bed.run(2_500.0)
+    world.run(2_500.0)
     assert pool.fault_reserved == 0
     assert pool.available == baseline
 
@@ -155,8 +155,8 @@ def test_nic_stall_window_toggles_channels(arch=Architecture.NI_LRP):
     plan = FaultPlan(seed=1, rules=[
         FaultRule("nic", "stall", start_usec=10_000.0,
                   end_usec=20_000.0, dst_port=9000)])
-    bed = Testbed(seed=1, fault_plan=plan)
-    host = bed.add_host(SERVER_ADDR, arch)
+    world = make_world(1, fault_plan=plan)
+    host = world.add_host(SERVER_ADDR, arch)
 
     def sink():
         sock = yield Syscall("socket", stype="udp")
@@ -168,14 +168,14 @@ def test_nic_stall_window_toggles_channels(arch=Architecture.NI_LRP):
     def stalled_channels():
         return [c for c in host.stack.iter_channels() if c.stalled]
 
-    bed.run(5_000.0)
+    world.run(5_000.0)
     assert not stalled_channels()
-    bed.run(15_000.0)
+    world.run(15_000.0)
     stalled = stalled_channels()
     assert len(stalled) == 1
     owner = stalled[0].owner_socket
     assert owner is not None and owner.local.port == 9000
-    bed.run(25_000.0)
+    world.run(25_000.0)
     assert not stalled_channels()
 
 

@@ -5,13 +5,12 @@ reach a socket buffer."""
 import pytest
 
 from repro.core import Architecture
-from repro.engine import Sleep, Syscall
+from repro.engine import Sleep, Syscall, make_world
 from repro.faults import FaultPlan, FaultRule
 from repro.net.ip import IPPROTO_UDP
 from repro.experiments.common import (
     CLIENT_A_ADDR,
     SERVER_ADDR,
-    Testbed,
 )
 from tests.helpers import udp_echo_server, udp_sender
 
@@ -28,17 +27,17 @@ def _corrupt_all_plan(**filters):
 
 @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.value)
 def test_corrupt_udp_dropped_before_socket(arch):
-    bed = Testbed(seed=2, fault_plan=_corrupt_all_plan(dst_port=PORT))
-    server = bed.add_host(SERVER_ADDR, arch)
-    client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD)
+    world = make_world(2, fault_plan=_corrupt_all_plan(dst_port=PORT))
+    server = world.add_host(SERVER_ADDR, arch)
+    client = world.add_host(CLIENT_A_ADDR, Architecture.BSD)
 
     log = []
-    server.spawn("sink", udp_echo_server(PORT, log, bed.sim))
+    server.spawn("sink", udp_echo_server(PORT, log, world.sim))
     client.spawn("tx", udp_sender(SERVER_ADDR, PORT, count=10))
-    bed.run(200_000.0)
+    world.run(200_000.0)
 
     assert log == []  # nothing was delivered to the receiver
-    assert bed.fault_plane.counters.get("link_corrupt") == 10
+    assert world.fault_plane.counters.get("link_corrupt") == 10
     assert server.stack.stats.get("drop_corrupt") == 10
     # The bound socket's receive buffer never saw a datagram.
     sock = next(s for s in server.stack.sockets
@@ -54,9 +53,9 @@ def test_corrupt_tcp_dropped_then_recovered(arch):
     plan = FaultPlan(seed=9, rules=[
         FaultRule("link", "corrupt", start_usec=12_000.0,
                   end_usec=120_000.0, probability=1.0)])
-    bed = Testbed(seed=3, fault_plan=plan)
-    server = bed.add_host(SERVER_ADDR, arch)
-    client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD)
+    world = make_world(3, fault_plan=plan)
+    server = world.add_host(SERVER_ADDR, arch)
+    client = world.add_host(CLIENT_A_ADDR, Architecture.BSD)
 
     nbytes = 16_000
     received = []
@@ -85,37 +84,36 @@ def test_corrupt_tcp_dropped_then_recovered(arch):
     server.spawn("rx", rx())
     client.spawn("tx", tx())
     limit = 60_000_000.0
-    while not received and bed.sim.now < limit:
-        bed.sim.run_until(bed.sim.now + 200_000.0)
+    while not received and world.sim.now < limit:
+        world.sim.run_until(world.sim.now + 200_000.0)
 
     assert received == [nbytes]
     drops = (server.stack.stats.get("drop_corrupt")
              + client.stack.stats.get("drop_corrupt"))
     assert drops > 0
-    assert bed.fault_plane.counters.get("link_corrupt") > 0
+    assert world.fault_plane.counters.get("link_corrupt") > 0
 
 
 def test_corrupt_fragment_spoils_whole_datagram():
     """A corrupted fragment means the datagram is never delivered; the
     incomplete reassembly is expired and its mbufs returned."""
-    bed = Testbed(seed=4,
-                  fault_plan=_corrupt_all_plan(proto=IPPROTO_UDP))
-    server = bed.add_host(SERVER_ADDR, Architecture.BSD)
-    client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD)
+    world = make_world(4, fault_plan=_corrupt_all_plan(proto=IPPROTO_UDP))
+    server = world.add_host(SERVER_ADDR, Architecture.BSD)
+    client = world.add_host(CLIENT_A_ADDR, Architecture.BSD)
     server.stack.reassembler.ttl_usec = 100_000.0
 
     log = []
-    server.spawn("sink", udp_echo_server(PORT, log, bed.sim))
+    server.spawn("sink", udp_echo_server(PORT, log, world.sim))
     # One datagram bigger than the 9180-byte ATM MTU: fragments.
     client.spawn("tx", udp_sender(SERVER_ADDR, PORT, count=1,
                                   nbytes=20_000))
     baseline = server.stack.mbufs.in_use
-    bed.run(50_000.0)
+    world.run(50_000.0)
 
     assert log == []
     assert server.stack.stats.get("drop_corrupt") > 0
     # Past the (shortened) reassembly TTL every parked fragment chain
     # is freed again.
-    bed.run(300_000.0)
+    world.run(300_000.0)
     assert not server.stack.reassembler.pending
     assert server.stack.mbufs.in_use == baseline

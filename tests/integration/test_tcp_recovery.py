@@ -5,13 +5,12 @@ cleanup when fragments are lost."""
 import pytest
 
 from repro.core import Architecture
-from repro.engine import Sleep, Syscall
+from repro.engine import Sleep, Syscall, make_world
 from repro.faults import FaultPlan, FaultRule
 from repro.net.ip import IPPROTO_TCP
 from repro.experiments.common import (
     CLIENT_A_ADDR,
     SERVER_ADDR,
-    Testbed,
 )
 from tests.helpers import udp_echo_server, udp_sender
 
@@ -20,7 +19,7 @@ ARCHS = (Architecture.BSD, Architecture.SOFT_LRP, Architecture.NI_LRP)
 NBYTES = 24_000
 
 
-def _transfer(bed, server, client, received, socks):
+def _transfer(world, server, client, received, socks):
     def rx():
         sock = yield Syscall("socket", stype="tcp")
         yield Syscall("bind", sock=sock, port=80)
@@ -46,8 +45,8 @@ def _transfer(bed, server, client, received, socks):
     server.spawn("rx", rx())
     client.spawn("tx", tx())
     limit = 120_000_000.0
-    while not received and bed.sim.now < limit:
-        bed.sim.run_until(bed.sim.now + 200_000.0)
+    while not received and world.sim.now < limit:
+        world.sim.run_until(world.sim.now + 200_000.0)
 
 
 @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.value)
@@ -58,15 +57,15 @@ def test_loss_window_forces_retransmit_then_full_delivery(arch):
         FaultRule("link", "drop", start_usec=12_000.0,
                   end_usec=150_000.0, probability=1.0,
                   proto=IPPROTO_TCP)])
-    bed = Testbed(seed=6, fault_plan=plan)
-    server = bed.add_host(SERVER_ADDR, arch)
-    client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD)
+    world = make_world(6, fault_plan=plan)
+    server = world.add_host(SERVER_ADDR, arch)
+    client = world.add_host(CLIENT_A_ADDR, Architecture.BSD)
 
     received, socks = [], []
-    _transfer(bed, server, client, received, socks)
+    _transfer(world, server, client, received, socks)
 
     assert received == [NBYTES]
-    assert bed.fault_plane.counters.get("link_drop") > 0
+    assert world.fault_plane.counters.get("link_drop") > 0
     rexmt = (client.stack.stats.get("tcp_rexmt_timeouts")
              + server.stack.stats.get("tcp_rexmt_timeouts"))
     assert rexmt >= 1
@@ -80,15 +79,15 @@ def test_probabilistic_loss_still_delivers(arch):
     plan = FaultPlan(seed=21, rules=[
         FaultRule("link", "drop", probability=0.3,
                   proto=IPPROTO_TCP)])
-    bed = Testbed(seed=6, fault_plan=plan)
-    server = bed.add_host(SERVER_ADDR, arch)
-    client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD)
+    world = make_world(6, fault_plan=plan)
+    server = world.add_host(SERVER_ADDR, arch)
+    client = world.add_host(CLIENT_A_ADDR, Architecture.BSD)
 
     received, socks = [], []
-    _transfer(bed, server, client, received, socks)
+    _transfer(world, server, client, received, socks)
 
     assert received == [NBYTES]
-    assert bed.fault_plane.counters.get("link_drop") > 0
+    assert world.fault_plane.counters.get("link_drop") > 0
 
 
 def test_fragment_loss_expires_reassembly_and_frees_mbufs():
@@ -98,24 +97,24 @@ def test_fragment_loss_expires_reassembly_and_frees_mbufs():
     # fragment, so exactly that one is dropped.
     plan = FaultPlan(seed=8, rules=[
         FaultRule("link", "drop", probability=1.0, dst_port=9000)])
-    bed = Testbed(seed=4, fault_plan=plan)
-    server = bed.add_host(SERVER_ADDR, Architecture.BSD)
-    client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD)
+    world = make_world(4, fault_plan=plan)
+    server = world.add_host(SERVER_ADDR, Architecture.BSD)
+    client = world.add_host(CLIENT_A_ADDR, Architecture.BSD)
     server.stack.reassembler.ttl_usec = 100_000.0
 
     log = []
-    server.spawn("sink", udp_echo_server(9000, log, bed.sim))
+    server.spawn("sink", udp_echo_server(9000, log, world.sim))
     client.spawn("tx", udp_sender(SERVER_ADDR, 9000, count=1,
                                   nbytes=20_000))
     baseline = server.stack.mbufs.in_use
-    bed.run(50_000.0)
+    world.run(50_000.0)
 
     assert log == []
-    assert bed.fault_plane.counters.get("link_drop") == 1
+    assert world.fault_plane.counters.get("link_drop") == 1
     assert server.stack.reassembler.pending  # stranded fragments
     assert server.stack.mbufs.in_use > baseline
 
-    bed.run(300_000.0)
+    world.run(300_000.0)
     assert not server.stack.reassembler.pending
     assert server.stack.stats.get("frag_expired") >= 1
     assert server.stack.mbufs.in_use == baseline

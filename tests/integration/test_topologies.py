@@ -19,6 +19,7 @@ import pytest
 from repro.apps import udp_blast_sink
 from repro.core import Architecture
 from repro.core.forwarding import build_gateway
+from repro.engine import make_world
 from repro.faults import FaultPlan, FaultPlane, FaultRule
 from repro.net.topology import (
     gateway_chain_spec,
@@ -26,7 +27,6 @@ from repro.net.topology import (
     passthrough_spec,
 )
 from repro.workloads import RawUdpInjector
-from repro.experiments.common import Testbed
 
 PORT = 9000
 STOP_USEC = 150_000.0
@@ -68,7 +68,7 @@ def drop_total(ledger):
     return sum(ledger.values())
 
 
-def sink_counter(bed, host, port=PORT):
+def sink_counter(world, host, port=PORT):
     received = [0]
 
     def on_rx(stamp, dgram):
@@ -78,11 +78,11 @@ def sink_counter(bed, host, port=PORT):
     return received
 
 
-def run_world(bed, injectors, rate_pps):
+def run_world(world, injectors, rate_pps):
     for i, injector in enumerate(injectors):
-        bed.sim.schedule(5_000.0 + 97.0 * i, injector.start, rate_pps)
-        bed.sim.schedule(STOP_USEC, injector.stop)
-    bed.run(DRAIN_USEC)
+        world.sim.schedule(5_000.0 + 97.0 * i, injector.start, rate_pps)
+        world.sim.schedule(STOP_USEC, injector.stop)
+    world.run(DRAIN_USEC)
 
 
 def fault_plan():
@@ -106,16 +106,16 @@ def fault_plan():
 @pytest.mark.parametrize("faulty", [False, True],
                          ids=["clean", "faults"])
 def test_passthrough_conserves_every_frame(faulty):
-    bed = Testbed(seed=3, topology=passthrough_spec(),
-                  fault_plan=fault_plan() if faulty else None)
-    server = bed.add_host("10.0.0.1", Architecture.SOFT_LRP,
-                          name="server")
-    received = sink_counter(bed, server)
-    injector = RawUdpInjector(bed.sim, bed.network, "10.0.0.2",
+    world = make_world(3, passthrough_spec(),
+                       fault_plan=fault_plan() if faulty else None)
+    server = world.add_host("10.0.0.1", Architecture.SOFT_LRP,
+                            name="server")
+    received = sink_counter(world, server)
+    injector = RawUdpInjector(world.sim, world.fabric, "10.0.0.2",
                               "10.0.0.1", PORT)
-    run_world(bed, [injector], rate_pps=3_000.0)
+    run_world(world, [injector], rate_pps=3_000.0)
 
-    ledger = fabric_ledger(bed.network)
+    ledger = fabric_ledger(world.fabric)
     assert ledger["sent"] == injector.sent
     host = host_receive_ledger(server)
     assert received[0] + drop_total(host) == ledger["delivered"]
@@ -123,11 +123,11 @@ def test_passthrough_conserves_every_frame(faulty):
         assert ledger["drops_fault"] > 0
         assert ledger["duplicated"] > 0
     else:
-        assert bed.network.total_drops() == 0
+        assert world.fabric.total_drops() == 0
         # At 3k pkts/sec nothing contends: every datagram arrives.
         assert received[0] == injector.sent
         # Both hops forwarded every frame.
-        uplink = bed.network.switches["sw0"].ports["server"]
+        uplink = world.fabric.switches["sw0"].ports["server"]
         assert uplink.serviced == injector.sent
         assert uplink.drops_overflow == uplink.drops_red == 0
 
@@ -139,20 +139,20 @@ def test_passthrough_conserves_every_frame(faulty):
 @pytest.mark.parametrize("faulty", [False, True],
                          ids=["clean", "faults"])
 def test_gateway_chain_conserves_across_both_subnets(faulty):
-    bed = Testbed(seed=9, topology=gateway_chain_spec(),
-                  fault_plan=fault_plan() if faulty else None)
+    world = make_world(9, gateway_chain_spec(),
+                       fault_plan=fault_plan() if faulty else None)
     gateway, daemon = build_gateway(
-        bed.sim, bed.network, "10.0.0.254", "10.0.1.254",
-        Architecture.SOFT_LRP, costs=bed.costs)
-    bed.adopt(gateway)
-    backend = bed.add_host("10.0.1.1", Architecture.SOFT_LRP,
-                           name="backend")
-    received = sink_counter(bed, backend)
-    injector = RawUdpInjector(bed.sim, bed.network, "10.0.0.2",
+        world.sim, world.fabric, "10.0.0.254", "10.0.1.254",
+        Architecture.SOFT_LRP, costs=world.costs)
+    world.adopt(gateway)
+    backend = world.add_host("10.0.1.1", Architecture.SOFT_LRP,
+                             name="backend")
+    received = sink_counter(world, backend)
+    injector = RawUdpInjector(world.sim, world.fabric, "10.0.0.2",
                               "10.0.1.1", PORT, next_hop="10.0.0.254")
-    run_world(bed, [injector], rate_pps=2_000.0)
+    run_world(world, [injector], rate_pps=2_000.0)
 
-    ledger = fabric_ledger(bed.network)
+    ledger = fabric_ledger(world.fabric)
     forwarded = gateway.stack.stats.get("ip_forwarded")
     # The fabric carries two generations of every transit frame: the
     # client's injection and the gateway's re-send.
@@ -169,12 +169,12 @@ def test_gateway_chain_conserves_across_both_subnets(faulty):
     if faulty:
         assert ledger["drops_fault"] > 0
     else:
-        assert bed.network.total_drops() == 0
+        assert world.fabric.total_drops() == 0
         # Moderate transit load: the chain is lossless end to end.
         assert forwarded == injector.sent
         assert received[0] == injector.sent
         for sw in ("sw-edge", "sw-core"):
-            for port in bed.network.switches[sw].ports.values():
+            for port in world.fabric.switches[sw].ports.values():
                 assert port.drops_overflow == port.drops_red == 0
 
 
@@ -186,20 +186,20 @@ def test_gateway_chain_conserves_across_both_subnets(faulty):
                          ids=["clean", "faults"])
 def test_incast_accounts_for_overload_drops(faulty):
     fan_in = 4
-    bed = Testbed(seed=5, topology=incast_spec(fan_in, queue_frames=16),
-                  fault_plan=fault_plan() if faulty else None)
-    server = bed.add_host("10.0.0.1", Architecture.SOFT_LRP,
-                          name="server")
-    received = sink_counter(bed, server)
+    world = make_world(5, incast_spec(fan_in, queue_frames=16),
+                       fault_plan=fault_plan() if faulty else None)
+    server = world.add_host("10.0.0.1", Architecture.SOFT_LRP,
+                            name="server")
+    received = sink_counter(world, server)
     injectors = [
-        RawUdpInjector(bed.sim, bed.network, f"10.0.0.{10 + i}",
+        RawUdpInjector(world.sim, world.fabric, f"10.0.0.{10 + i}",
                        "10.0.0.1", PORT, src_port=20000 + i)
         for i in range(fan_in)]
     # Far past both the switch uplink's and the server's capacity: the
     # ledger must name every casualty of the overload.
-    run_world(bed, injectors, rate_pps=120_000.0)
+    run_world(world, injectors, rate_pps=120_000.0)
 
-    ledger = fabric_ledger(bed.network)
+    ledger = fabric_ledger(world.fabric)
     assert ledger["sent"] == sum(inj.sent for inj in injectors)
     host = host_receive_ledger(server)
     assert received[0] + drop_total(host) == ledger["delivered"]
@@ -208,7 +208,7 @@ def test_incast_accounts_for_overload_drops(faulty):
     # LRP demux point — and both ledgers name their drops exactly.
     assert ledger["drops_port_queue"] > 0
     assert host["channel"] > 0
-    sw_stats = bed.network.hop_stats()["sw0"]
+    sw_stats = world.fabric.hop_stats()["sw0"]
     assert sum(p["drops_overflow"] for p in sw_stats.values()) == \
         ledger["drops_port_queue"]
     if faulty:
@@ -220,21 +220,21 @@ def test_incast_accounts_for_overload_drops(faulty):
 # ---------------------------------------------------------------------------
 
 def test_per_edge_fault_plane_hits_only_its_edge():
-    bed = Testbed(seed=3, topology=passthrough_spec())
-    server = bed.add_host("10.0.0.1", Architecture.SOFT_LRP,
-                          name="server")
-    received = sink_counter(bed, server)
-    plane = FaultPlane(bed.sim, FaultPlan(seed=21, rules=(
+    world = make_world(3, passthrough_spec())
+    server = world.add_host("10.0.0.1", Architecture.SOFT_LRP,
+                            name="server")
+    received = sink_counter(world, server)
+    plane = FaultPlane(world.sim, FaultPlan(seed=21, rules=(
         FaultRule("link", "drop", probability=0.5, name="edge-loss"),)))
-    bed.network.attach_link_fault_plane("sw0", "server", plane)
-    injector = RawUdpInjector(bed.sim, bed.network, "10.0.0.2",
+    world.fabric.attach_link_fault_plane("sw0", "server", plane)
+    injector = RawUdpInjector(world.sim, world.fabric, "10.0.0.2",
                               "10.0.0.1", PORT)
-    run_world(bed, [injector], rate_pps=3_000.0)
+    run_world(world, [injector], rate_pps=3_000.0)
 
-    ledger = fabric_ledger(bed.network)
-    uplink_edge = next(l for l in bed.network.links
+    ledger = fabric_ledger(world.fabric)
+    uplink_edge = next(l for l in world.fabric.links
                        if {l.a, l.b} == {"sw0", "server"})
-    access_edge = next(l for l in bed.network.links
+    access_edge = next(l for l in world.fabric.links
                        if {l.a, l.b} == {"client", "sw0"})
     assert uplink_edge.drops_fault > 0
     assert access_edge.drops_fault == 0
