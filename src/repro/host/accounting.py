@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.engine.process import SimProcess
+from repro.engine.process import ProcState, SimProcess
 from repro.host.scheduler import Scheduler
 
 POLICIES = ("interrupted", "receiver", "system")
@@ -54,8 +54,8 @@ class Accounting:
         processing thread redirects its usage to the application that
         owns the socket being serviced.
         """
-        target = proc.charge_to if proc.charge_to is not None else proc
-        if not target.alive:
+        target = proc.charge_to
+        if target is None or target.state is ProcState.ZOMBIE:
             target = proc
         target.cpu_time += usec
         self.total_process_time += usec

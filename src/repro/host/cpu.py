@@ -45,8 +45,9 @@ class Cpu:
     """A single preemptive CPU.
 
     The kernel installs a ``process_source`` (the scheduler bridge)
-    exposing ``has_runnable()``, ``take_next()``, ``requeue_front(ctx)``
-    and ``quantum_expired(ctx)``.
+    exposing ``has_runnable()``, ``take_next()``,
+    ``best_runnable_priority()``, ``requeue_front(ctx)`` and
+    ``quantum_expired(ctx)``.
     """
 
     def __init__(self, sim: Simulator, quantum: float = DEFAULT_QUANTUM):
@@ -118,42 +119,16 @@ class Cpu:
         self._dispatch()
 
     # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def current(self):
-        return self._current
-
-    # ------------------------------------------------------------------
     # Dispatch machinery
     # ------------------------------------------------------------------
-    def _best_pending_class(self) -> Optional[int]:
-        if self._hw:
-            return HARDWARE
-        if self._sw:
-            return SOFTWARE
-        source = self.process_source
-        if source is not None and source.has_runnable():
-            return PROCESS
-        return None
-
-    def _take_best(self):
-        if self._hw:
-            return self._hw.popleft()
-        if self._sw:
-            return self._sw.popleft()
-        return self.process_source.take_next()
-
     def _dispatch(self) -> None:
         if self._dispatching:
             self._redispatch = True
             return
         self._dispatching = True
         try:
-            # The class probe and take are inlined (cf.
-            # _best_pending_class/_take_best, kept for introspection):
-            # this loop runs once per slice transition and is the
-            # hottest code in the host layer.
+            # The class probe and take are inlined: this loop runs on
+            # every slice transition that does not continue in place.
             hw = self._hw
             sw = self._sw
             while True:
@@ -205,19 +180,20 @@ class Cpu:
             self._dispatching = False
 
     def _start_slice(self, ctx, duration: float) -> None:
-        if ctx.work_class != PROCESS and not ctx.dispatched:
-            ctx.dispatched = True
-            trace = self._trace
-            if trace.enabled:
-                trace.interrupt_dispatched(
-                    ctx.label, CLASS_NAMES[ctx.work_class])
         if ctx.work_class == PROCESS:
             self.last_process_running = ctx
             remaining_quantum = self.quantum - ctx.stint
             if remaining_quantum <= 0:
                 remaining_quantum = self.quantum
                 ctx.stint = 0.0
-            duration = min(duration, remaining_quantum)
+            if remaining_quantum < duration:
+                duration = remaining_quantum
+        elif not ctx.dispatched:
+            ctx.dispatched = True
+            trace = self._trace
+            if trace.enabled:
+                trace.interrupt_dispatched(
+                    ctx.label, CLASS_NAMES[ctx.work_class])
         self._current = ctx
         sim = self.sim
         self._slice_start = sim.now
@@ -231,9 +207,10 @@ class Cpu:
 
     def _account_elapsed(self, elapsed: float) -> None:
         ctx = self._current
-        self.time_by_class[ctx.work_class] += elapsed
+        work_class = ctx.work_class
+        self.time_by_class[work_class] += elapsed
         ctx.consumed(elapsed)
-        if ctx.work_class == PROCESS:
+        if work_class == PROCESS:
             ctx.stint += elapsed
         elif self.pollution_hook is not None and elapsed > 0:
             # Interrupt execution displaces cache state in proportion
@@ -262,12 +239,13 @@ class Cpu:
         self._slice_event = None
         self._account_elapsed(self._slice_len)
         self._current = None
+        work_class = ctx.work_class
         # Guard against reentrant dispatch while ctx.begin() runs
         # instantaneous side effects (wakeups, interrupt posts, ...).
         outer = self._dispatching
         self._dispatching = True
         try:
-            if ctx.work_class == PROCESS and ctx.stint >= self.quantum:
+            if work_class == PROCESS and ctx.stint >= self.quantum:
                 # Quantum expired: round-robin to the tail of the run
                 # queue if it still wants the CPU.
                 ctx.stint = 0.0
@@ -280,12 +258,26 @@ class Cpu:
                 duration = ctx.begin()
                 if duration is None:
                     self._retire(ctx)
-                elif ctx.work_class == HARDWARE:
+                elif work_class == HARDWARE:
                     self._hw.appendleft(ctx)
-                elif ctx.work_class == SOFTWARE:
+                elif work_class == SOFTWARE:
                     self._sw.appendleft(ctx)
                 else:
-                    self.process_source.requeue_front(ctx)
+                    source = self.process_source
+                    if not (self._hw or self._sw):
+                        best_pri = source.best_runnable_priority()
+                        if best_pri is None or best_pri >= ctx.proc.usrpri:
+                            # Continue in place.  From the front of the
+                            # run queue, with no interrupt pending and
+                            # no strictly better process, _dispatch
+                            # would take ctx straight back (no context
+                            # switch) and begin() it again; do that
+                            # without the queue round trip.  The second
+                            # begin() stays: it re-reads the cache
+                            # penalty.
+                            self._start_slice(ctx, ctx.begin())
+                            return
+                    source.requeue_front(ctx)
         finally:
             self._dispatching = outer
         self._dispatch()

@@ -86,14 +86,20 @@ class ProcContext:
             if request is None:
                 kernel.reap(proc)
                 return None
+            if request.__class__ is Compute:
+                # The common request, handled as handle_request would.
+                proc.compute_remaining += request.usec
+                continue
             if not kernel.handle_request(self, request):
                 return None  # blocked, sleeping, or exited
 
     def consumed(self, usec: float) -> None:
         proc = self.proc
-        proc.compute_remaining = max(0.0, proc.compute_remaining - usec)
-        self.kernel.accounting.charge_process(proc, usec)
-        self.kernel.cache.on_run(proc, usec)
+        remaining = proc.compute_remaining - usec
+        proc.compute_remaining = remaining if remaining > 0.0 else 0.0
+        kernel = self.kernel
+        kernel.accounting.charge_process(proc, usec)
+        kernel.cache.on_run(proc, usec)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ProcContext {self.proc.name}>"

@@ -3,7 +3,7 @@ checkpointing, and time accounting."""
 
 import pytest
 
-from repro.engine import Compute, Simulator
+from repro.engine import Block, Compute, Simulator, Syscall, WaitChannel
 from repro.host import HARDWARE, Kernel, SOFTWARE, simple_task
 from repro.host.interrupts import IntrTask, InterruptContextError
 
@@ -156,3 +156,83 @@ def test_charge_callback_receives_all_consumed_time():
     k.cpu.post(task)
     sim.run_until(100.0)
     assert sum(charged) == pytest.approx(50.0)
+
+
+# ----------------------------------------------------------------------
+# Slice ends of a process that still wants the CPU.  With no cache
+# working set, the only overheads are the fixed context-switch (15us),
+# syscall (20us) and wakeup (4us) costs, so every timestamp below is
+# exact.
+# ----------------------------------------------------------------------
+
+def test_soft_interrupt_posted_from_begin_runs_before_next_slice():
+    sim, k = make_kernel()
+    marks = []
+
+    def post(kernel, proc):
+        kernel.cpu.post(simple_task(
+            30.0, SOFTWARE, "sw",
+            action=lambda: marks.append(("sw", sim.now))))
+
+    k.register_syscall("post", post)
+
+    def app():
+        yield Compute(100.0)
+        yield Syscall("post")
+        marks.append(("app", sim.now))
+        yield Compute(100.0)
+        marks.append(("app-done", sim.now))
+
+    k.spawn("app", app(), working_set_kb=0.0)
+    sim.run_until(1000.0)
+    # The post happens inside begin() at the slice end at 115; the
+    # 20us syscall overhead waits behind the 30us soft interrupt.
+    assert marks == [("sw", 145.0), ("app", 165.0), ("app-done", 265.0)]
+
+
+def test_better_process_woken_in_begin_takes_the_core():
+    sim, k = make_kernel()
+    chan = WaitChannel("b")
+    marks = []
+    k.register_syscall("wake", lambda kernel, proc: kernel.wake_one(chan))
+
+    def sleeper():
+        yield Block(chan)
+        marks.append(("B", sim.now))
+
+    def app():
+        yield Compute(100.0)
+        yield Syscall("wake")
+        marks.append(("A", sim.now))
+
+    k.spawn("B", sleeper(), nice=-4, working_set_kb=0.0)
+    k.spawn("A", app(), working_set_kb=0.0)
+    sim.run_until(1000.0)
+    # B runs its switch-in (0-15) and blocks; A runs its switch-in and
+    # compute (15-130).  At 130 A's begin() wakes B, which takes the
+    # core for its wakeup and switch-in (130-149); A then pays its
+    # switch-in and the syscall overhead (149-184).
+    assert marks == [("B", 149.0), ("A", 184.0)]
+    assert k.scheduler.context_switches == 4
+
+
+def test_equal_priority_process_waits_for_quantum_expiry():
+    sim, k = make_kernel()
+    k.cpu.quantum = 1000.0
+    marks = []
+
+    def spinner(name):
+        for _ in range(4):
+            yield Compute(300.0)
+            marks.append((name, sim.now))
+
+    for name in ("A", "B"):
+        proc = k.spawn(name, spinner(name), working_set_kb=0.0)
+        proc.fixed_priority = True     # equal priorities stay equal
+    sim.run_until(3000.0)
+    # A keeps the core at every slice end until its 1000us quantum
+    # runs out mid-compute (915-1000); only then does B get the core.
+    assert marks == [("A", 315.0), ("A", 615.0), ("A", 915.0),
+                     ("B", 1315.0), ("B", 1615.0), ("B", 1915.0),
+                     ("A", 2230.0), ("B", 2460.0)]
+    assert k.cpu.preemptions == 0
