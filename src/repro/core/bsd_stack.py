@@ -12,14 +12,18 @@ CPU time is charged to whichever process happened to be running.
 Every pathology in Section 2.2 is a consequence of this structure, and
 all of them are reproduced mechanistically here: eager processing,
 late packet drop, shared-queue traffic interference, mis-accounting.
+
+The same path serves RSS (:class:`RssStack`): on a multi-queue NIC each
+receive queue interrupts its own core, and each core has its own IP
+queue and software interrupt.  A single-queue NIC uses only core 0's.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, Optional
+from typing import Deque, Generator, List, Optional
 
-from repro.engine.process import Block, Compute, SimProcess
+from repro.engine.process import Compute
 from repro.host.interrupts import (
     HARDWARE,
     SOFTWARE,
@@ -44,17 +48,22 @@ class BsdStack(NetworkStack):
 
     def __init__(self, *args, ipq_maxlen: int = IPQ_MAXLEN, **kwargs):
         super().__init__(*args, **kwargs)
-        self.ipq: Deque[IpPacket] = deque()
+        ncores = self.kernel.ncores
+        #: One IP queue and one softnet-posted flag per core.
+        self.ipqs: List[Deque[IpPacket]] = [deque() for _ in range(ncores)]
         self.ipq_maxlen = ipq_maxlen
-        self._softnet_posted = False
+        self._softnet_posted = [False] * ncores
         #: Daemon-bound packets (ICMP etc.) processed in softint too.
         self.icmp_handler = None
 
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def rx_interrupt(self, frame: Frame, ring_release) -> IntrTask:
-        charge = self.kernel.accounting.interrupt_charger(self.kernel.cpu)
+    def rx_interrupt(self, frame: Frame, ring_release,
+                     core: int = 0) -> IntrTask:
+        cpu = self.kernel.cpus[core]
+        charge = self.kernel.accounting.interrupt_charger(cpu)
+        ipq = self.ipqs[core]
 
         def action() -> None:
             ring_release()
@@ -68,9 +77,10 @@ class BsdStack(NetworkStack):
                     trace.pkt_drop("mbufs", flow_of(frame.packet),
                                    reason="pool_exhausted")
                 return
-            if len(self.ipq) >= self.ipq_maxlen:
+            if len(ipq) >= self.ipq_maxlen:
                 # The shared-IP-queue drop: any flow can push any other
-                # flow's packets out here.
+                # flow's packets out here (under RSS, any flow hashed
+                # to the same core).
                 self.stats.incr("drop_ipq")
                 if trace.enabled:
                     trace.pkt_drop("ipq", flow_of(frame.packet),
@@ -80,26 +90,27 @@ class BsdStack(NetworkStack):
             if trace.enabled:
                 trace.pkt_enqueue("ipq", flow_of(frame.packet))
             frame.packet._mbuf_chain = chain
-            self.ipq.append(frame.packet)
-            if not self._softnet_posted:
-                self._softnet_posted = True
-                self.kernel.cpu.post(IntrTask(
-                    self._softnet(), SOFTWARE, "softnet", charge))
+            ipq.append(frame.packet)
+            if not self._softnet_posted[core]:
+                self._softnet_posted[core] = True
+                cpu.post(IntrTask(
+                    self._softnet(core), SOFTWARE, "softnet", charge))
 
         return SimpleIntrTask(self.costs.hw_intr + self.costs.mbuf_alloc,
                               HARDWARE, "nic-rx", action=action,
                               charge=charge)
 
-    def _softnet(self) -> Generator:
-        """The software-interrupt drain loop (ipintr)."""
-        while self.ipq:
-            packet = self.ipq.popleft()
+    def _softnet(self, core: int) -> Generator:
+        """The software-interrupt drain loop (ipintr) of one core."""
+        ipq = self.ipqs[core]
+        while ipq:
+            packet = ipq.popleft()
             yield Compute(self.costs.sw_intr_dispatch)
             yield from self._ip_input_eager(packet)
             chain = getattr(packet, "_mbuf_chain", None)
             if chain is not None:
                 chain.free()
-        self._softnet_posted = False
+        self._softnet_posted[core] = False
 
     def _ip_input_eager(self, packet: IpPacket) -> Generator:
         """IP + transport input, in software-interrupt context."""
@@ -122,11 +133,7 @@ class BsdStack(NetworkStack):
             self.stats.incr("ip_forwarded")
             return
         if packet.corrupt and not verify_packet(packet):
-            yield Compute(self.costs.checksum_cost(packet.payload_len))
-            self.stats.incr("drop_corrupt")
-            if self.sim.trace.enabled:
-                self.sim.trace.pkt_drop("ip", flow_of(packet),
-                                        reason="bad_checksum")
+            yield from self.drop_bad_checksum(packet)
             return
         if packet.is_fragment:
             yield Compute(self.costs.ip_reassembly_per_frag)
@@ -135,11 +142,7 @@ class BsdStack(NetworkStack):
                 return
             if packet.corrupt and not verify_packet(packet):
                 # A corrupted fragment poisons the whole datagram.
-                yield Compute(self.costs.checksum_cost(packet.payload_len))
-                self.stats.incr("drop_corrupt")
-                if self.sim.trace.enabled:
-                    self.sim.trace.pkt_drop("ip", flow_of(packet),
-                                            reason="bad_checksum")
+                yield from self.drop_bad_checksum(packet)
                 return
         if packet.proto == IPPROTO_UDP:
             yield from self._udp_input_eager(packet)
@@ -186,35 +189,21 @@ class BsdStack(NetworkStack):
                 self.ip_output(reply, packet.src, IPPROTO_ICMP,
                                reply.total_len)
 
-    # ------------------------------------------------------------------
-    # UDP receive syscall: wait on the socket queue
-    # ------------------------------------------------------------------
-    def recv_dgram_gen(self, proc: SimProcess, sock: Socket) -> Generator:
-        while True:
-            item = sock.rcv_dgrams.pop()
-            if item is not None:
-                (dgram, stamp), src = item
-                yield Compute(self.costs.dequeue
-                              + self.costs.copy_cost(dgram.payload_len)
-                              + self.costs.mbuf_free)
-                sock.msgs_received += 1
-                sock.bytes_received += dgram.payload_len
-                self.stats.incr("udp_delivered")
-                if self.sim.trace.enabled:
-                    self.sim.trace.pkt_deliver("app",
-                                               sock.trace_flow(src))
-                return dgram, src, stamp
-            yield Block(sock.rcv_wait)
 
-    # ------------------------------------------------------------------
-    # Asynchronous TCP work: software interrupts
-    # ------------------------------------------------------------------
-    def post_tcp_work(self, sock: Socket, kind: str) -> None:
-        charge = self.kernel.accounting.interrupt_charger(self.kernel.cpu)
+class RssStack(BsdStack):
+    """RSS: the eager BSD stack on a multi-core host whose
+    :class:`~repro.nic.simple.SimpleNic` has one receive queue per core.
 
-        def body() -> Generator:
-            yield Compute(self.costs.sw_intr_dispatch)
-            yield from self.tcp_timer_gen(sock, kind)
+    What changes relative to 4.4BSD is *where* receive work runs, not
+    *when*: the NIC's Toeplitz hash steers each flow to one core, whose
+    hardware interrupt enqueues on that core's IP queue and whose
+    software interrupt drains it — so under overload, one flow's
+    livelock consumes only the cores its packets hash to.  Everything
+    is still eager: protocol processing happens at arrival time, at
+    interrupt priority, charged to whatever was running on the
+    interrupted core.  RSS buys isolation by *spatial* separation where
+    LRP buys it by *deferring* work to the receiver's schedulable
+    context.
+    """
 
-        self.kernel.cpu.post(
-            IntrTask(body(), SOFTWARE, f"tcp-{kind}", charge))
+    arch_name = "RSS"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.engine.process import Block, Compute, SimProcess
+from repro.engine.process import Compute
 from repro.host.interrupts import (
     HARDWARE,
     SOFTWARE,
@@ -31,6 +31,7 @@ from repro.net.checksum import verify_packet
 from repro.net.ip import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP, IpPacket
 from repro.net.packet import Frame
 from repro.core.lrp_base import LrpStackBase
+from repro.core.stack_base import NetworkStack
 from repro.sockets.socket import Socket, SockType
 from repro.trace.tracer import flow_of
 
@@ -51,8 +52,14 @@ class EarlyDemuxStack(LrpStackBase):
         """No LRP backlog feedback: SYNs for over-backlog listeners
         are still processed eagerly and dropped late, as in BSD."""
 
+    #: Receive syscall: plain BSD semantics (socket queue only).
+    recv_dgram_gen = NetworkStack.recv_dgram_gen
+    #: Asynchronous TCP work: software interrupts, as in BSD.
+    post_tcp_work = NetworkStack.post_tcp_work
+
     # ------------------------------------------------------------------
-    def rx_interrupt(self, frame: Frame, ring_release) -> IntrTask:
+    def rx_interrupt(self, frame: Frame, ring_release,
+                     core: int = 0) -> IntrTask:
         charge = self.kernel.accounting.interrupt_charger(self.kernel.cpu)
 
         def hw_action() -> None:
@@ -93,11 +100,7 @@ class EarlyDemuxStack(LrpStackBase):
         yield Compute(self.costs.sw_intr_dispatch + self.costs.ip_input)
         self.stats.incr("ip_in")
         if packet.corrupt and not verify_packet(packet):
-            yield Compute(self.costs.checksum_cost(packet.payload_len))
-            self.stats.incr("drop_corrupt")
-            if self.sim.trace.enabled:
-                self.sim.trace.pkt_drop("ip", flow_of(packet),
-                                        reason="bad_checksum")
+            yield from self.drop_bad_checksum(packet)
             return
         if packet.is_fragment:
             yield Compute(self.costs.ip_reassembly_per_frag)
@@ -105,11 +108,7 @@ class EarlyDemuxStack(LrpStackBase):
             if packet is None:
                 return
             if packet.corrupt and not verify_packet(packet):
-                yield Compute(self.costs.checksum_cost(packet.payload_len))
-                self.stats.incr("drop_corrupt")
-                if self.sim.trace.enabled:
-                    self.sim.trace.pkt_drop("ip", flow_of(packet),
-                                            reason="bad_checksum")
+                yield from self.drop_bad_checksum(packet)
                 return
         if packet.proto == IPPROTO_UDP:
             sock = self._socket_for(packet)
@@ -127,36 +126,3 @@ class EarlyDemuxStack(LrpStackBase):
                 self.stats.incr("drop_tcp_pcb_miss")
                 return
             yield from self.tcp_input_gen(sock, packet)
-
-    # ------------------------------------------------------------------
-    # Receive syscall: plain BSD semantics (socket queue only).
-    # ------------------------------------------------------------------
-    def recv_dgram_gen(self, proc: SimProcess, sock: Socket) -> Generator:
-        while True:
-            item = sock.rcv_dgrams.pop()
-            if item is not None:
-                (dgram, stamp), src = item
-                yield Compute(self.costs.dequeue
-                              + self.costs.copy_cost(dgram.payload_len)
-                              + self.costs.mbuf_free)
-                sock.msgs_received += 1
-                sock.bytes_received += dgram.payload_len
-                self.stats.incr("udp_delivered")
-                if self.sim.trace.enabled:
-                    self.sim.trace.pkt_deliver("app",
-                                               sock.trace_flow(src))
-                return dgram, src, stamp
-            yield Block(sock.rcv_wait)
-
-    # ------------------------------------------------------------------
-    # Asynchronous TCP work: software interrupts, as in BSD.
-    # ------------------------------------------------------------------
-    def post_tcp_work(self, sock: Socket, kind: str) -> None:
-        charge = self.kernel.accounting.interrupt_charger(self.kernel.cpu)
-
-        def body() -> Generator:
-            yield Compute(self.costs.sw_intr_dispatch)
-            yield from self.tcp_timer_gen(sock, kind)
-
-        self.kernel.cpu.post(
-            IntrTask(body(), SOFTWARE, f"tcp-{kind}", charge))

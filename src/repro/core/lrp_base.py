@@ -33,7 +33,6 @@ from repro.nic.demux import flow_key
 from repro.core.app_thread import AppProcessor, PerProcessAppProcessor
 from repro.core.stack_base import NetworkStack
 from repro.sockets.socket import Socket, SockType
-from repro.trace.tracer import flow_of
 
 #: Poll period of the idle-priority protocol thread, microseconds.
 IDLE_THREAD_POLL = 1_000.0
@@ -165,6 +164,11 @@ class LrpStackBase(NetworkStack):
                 yield channel
         yield self.demux_table.fragment_channel
 
+    def post_tcp_work(self, sock: Socket, kind: str) -> None:
+        """TCP timers run in the APP process, at the receiver's
+        priority and on the receiver's bill (Section 3.4)."""
+        self.app.notify(sock, kind)
+
     # ------------------------------------------------------------------
     # Channel notification routing
     # ------------------------------------------------------------------
@@ -252,11 +256,7 @@ class LrpStackBase(NetworkStack):
         yield Compute(self.costs.ip_input)
         self.stats.incr("ip_in")
         if packet.corrupt and not verify_packet(packet):
-            yield Compute(self.costs.checksum_cost(packet.payload_len))
-            self.stats.incr("drop_corrupt")
-            if self.sim.trace.enabled:
-                self.sim.trace.pkt_drop("ip", flow_of(packet),
-                                        reason="bad_checksum")
+            yield from self.drop_bad_checksum(packet)
             return None
         if packet.is_fragment:
             yield Compute(self.costs.ip_reassembly_per_frag)
@@ -270,11 +270,7 @@ class LrpStackBase(NetworkStack):
             packet = whole
             if packet.corrupt and not verify_packet(packet):
                 # A corrupted fragment poisons the whole datagram.
-                yield Compute(self.costs.checksum_cost(packet.payload_len))
-                self.stats.incr("drop_corrupt")
-                if self.sim.trace.enabled:
-                    self.sim.trace.pkt_drop("ip", flow_of(packet),
-                                            reason="bad_checksum")
+                yield from self.drop_bad_checksum(packet)
                 return None
         if self.redundant_pcb_lookup:
             # Figure 5 fairness control: pay the BSD lookup cost even

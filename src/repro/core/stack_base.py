@@ -16,9 +16,11 @@ Subclasses decide *where receive processing happens and who pays for
 it* — the whole subject of the paper:
 
 * :meth:`rx_interrupt` — the body of the device interrupt for a frame;
-* :meth:`recv_dgram_gen` — the receive-syscall path for UDP;
+* :meth:`recv_dgram_gen` — the receive-syscall path for UDP (by
+  default, BSD's wait on the socket queue);
 * :meth:`post_tcp_work` — the execution context for asynchronous TCP
-  events (incoming segments, retransmit timers).
+  events (incoming segments, retransmit timers; by default, a BSD
+  software interrupt).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from typing import Generator, Iterable, List, Optional
 
 from repro.engine.process import Block, Compute, SimProcess
+from repro.host.interrupts import SOFTWARE, IntrTask
 from repro.host.kernel import Kernel
 from repro.engine.process import WaitChannel
 from repro.mem.pool import MbufPool
@@ -61,7 +64,7 @@ DEFAULT_MTU = 9180
 
 
 class NetworkStack:
-    """Base class for the four kernel variants."""
+    """Base class for every kernel variant."""
 
     arch_name = "base"
 
@@ -140,21 +143,46 @@ class NetworkStack:
     # ------------------------------------------------------------------
     # Architecture hooks
     # ------------------------------------------------------------------
-    def rx_interrupt(self, frame: Frame, ring_release):
-        """Build the device-interrupt task for *frame* (SimpleNic
-        variants).  Must be overridden unless a ProgrammableNic is in
-        use."""
+    def rx_interrupt(self, frame: Frame, ring_release, core: int = 0):
+        """Build the device-interrupt task for *frame*, which arrived
+        on the :class:`~repro.nic.simple.SimpleNic` receive queue that
+        interrupts core *core* (always 0 on a single-queue NIC).  Only
+        stacks on a SimpleNic implement it: programmable and polling
+        NICs never interrupt per frame."""
         raise NotImplementedError
 
-    def recv_dgram_gen(self, proc: SimProcess, sock: Socket):
-        """Generator implementing the UDP receive path."""
-        raise NotImplementedError
+    def recv_dgram_gen(self, proc: SimProcess, sock: Socket) -> Generator:
+        """Generator implementing the UDP receive path: wait on the
+        socket queue, which receive processing has already filled."""
+        while True:
+            item = sock.rcv_dgrams.pop()
+            if item is not None:
+                (dgram, stamp), src = item
+                yield Compute(self.costs.dequeue
+                              + self.costs.copy_cost(dgram.payload_len)
+                              + self.costs.mbuf_free)
+                sock.msgs_received += 1
+                sock.bytes_received += dgram.payload_len
+                self.stats.incr("udp_delivered")
+                if self.sim.trace.enabled:
+                    self.sim.trace.pkt_deliver("app",
+                                               sock.trace_flow(src))
+                return dgram, src, stamp
+            yield Block(sock.rcv_wait)
 
     def post_tcp_work(self, sock: Socket, kind: str) -> None:
         """Arrange for asynchronous TCP work (*kind* is ``"input"``,
         ``"rexmt"`` or ``"persist"``) to run in the architecture's
-        chosen context."""
-        raise NotImplementedError
+        chosen context: here, a software interrupt on core 0 billed to
+        whoever it interrupts."""
+        charge = self.kernel.accounting.interrupt_charger(self.kernel.cpu)
+
+        def body() -> Generator:
+            yield Compute(self.costs.sw_intr_dispatch)
+            yield from self.tcp_timer_gen(sock, kind)
+
+        self.kernel.cpu.post(
+            IntrTask(body(), SOFTWARE, f"tcp-{kind}", charge))
 
     def endpoint_attached(self, sock: Socket) -> None:
         """Called when a socket gains a local/foreign binding; LRP
@@ -593,6 +621,17 @@ class NetworkStack:
         else:
             actions = conn.persist_timeout(self.sim.now)
         yield from self.apply_tcp_actions(sock, actions)
+
+    # -- Corrupt packets -------------------------------------------------
+    def drop_bad_checksum(self, packet: IpPacket) -> Generator:
+        """Pay for the checksum that failed on *packet* and drop it.
+        Callers test ``packet.corrupt and not verify_packet(packet)``
+        first, so a fault-free packet never builds this generator."""
+        yield Compute(self.costs.checksum_cost(packet.payload_len))
+        self.stats.incr("drop_corrupt")
+        trace = self.sim.trace
+        if trace.enabled:
+            trace.pkt_drop("ip", flow_of(packet), reason="bad_checksum")
 
     # -- TCP input --------------------------------------------------------
     def tcp_input_gen(self, sock: Socket, packet: IpPacket) -> Generator:

@@ -74,3 +74,14 @@ def test_polling_core_utilization_is_total(polling_run):
     assert 0.0 < usage[0]["utilization"] < 1.0
     assert usage[0]["hw_intr_usec"] == 0.0
     assert usage[0]["sw_intr_usec"] == 0.0
+
+
+def test_one_core_rss_is_bsd():
+    """RSS is the BSD receive path on an N-queue NIC; with one core
+    the NIC has one queue, so an overloaded figure-3 point must give
+    BSD's exact result."""
+    point = dict(POINT, rate_pps=20_000)
+    rss = figure3.run_point(Architecture.RSS, cores=1, **point)
+    bsd = figure3.run_point(Architecture.BSD, cores=1, **point)
+    assert rss["drop_ipq"] > 0
+    assert rss == bsd

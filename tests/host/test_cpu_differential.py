@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Compute, Simulator, Sleep, Syscall
-from repro.host import HARDWARE, SOFTWARE, Kernel, simple_task
+from repro.host import HARDWARE, SOFTWARE, Kernel, SimpleIntrTask
 from repro.trace import Tracer
 from tests.host.legacy_cpu import LegacyCpu, use_legacy_cpus
 
@@ -81,7 +81,7 @@ def run(spec, legacy):
 
     def post_soft(kernel, proc, cost):
         cpu = kernel.cpus[kernel._contexts[proc.pid].core]
-        cpu.post(simple_task(
+        cpu.post(SimpleIntrTask(
             cost, SOFTWARE, "syscall-sw",
             charge=kernel.accounting.interrupt_charger(cpu)))
 
@@ -110,7 +110,7 @@ def run(spec, legacy):
     for when, klass, cost, core in spec["posts"]:
         cpu = kernel.cpus[core % ncores]
         sim.schedule(when, lambda cpu=cpu, klass=klass, cost=cost:
-                     cpu.post(simple_task(
+                     cpu.post(SimpleIntrTask(
                          cost, klass, "timed",
                          charge=kernel.accounting.interrupt_charger(cpu))))
     sim.run_until(HORIZON)

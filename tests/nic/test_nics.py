@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Simulator
-from repro.host.interrupts import HARDWARE, simple_task
+from repro.host.interrupts import HARDWARE, SimpleIntrTask
 from repro.net.addr import IPAddr
 from repro.net.ip import IPPROTO_UDP, IpPacket
 from repro.net.link import Network
@@ -29,7 +29,7 @@ class FakeStack:
         self.kernel = kernel
         self.frames = []
 
-    def rx_interrupt(self, frame, ring_release):
+    def rx_interrupt(self, frame, ring_release, core=0):
         self.frames.append(frame)
 
         def body():
@@ -37,17 +37,25 @@ class FakeStack:
             return
             yield  # pragma: no cover
 
-        return simple_task(5.0, HARDWARE, "rx", action=ring_release)
+        return SimpleIntrTask(5.0, HARDWARE, "rx", action=ring_release)
 
 
-class FakeKernel:
-    def __init__(self, sim):
-        self.sim = sim
+class FakeCpu:
+    def __init__(self):
         self.posted = []
-        self.cpu = self
 
     def post(self, task):
         self.posted.append(task)
+
+
+class FakeKernel:
+    """Records the tasks posted to each core; ``posted`` is core 0's."""
+
+    def __init__(self, sim, ncores=1):
+        self.sim = sim
+        self.cpus = [FakeCpu() for _ in range(ncores)]
+        self.cpu = self.cpus[0]
+        self.posted = self.cpu.posted
 
 
 def test_simple_nic_posts_interrupt_per_frame():
@@ -78,6 +86,76 @@ def test_simple_nic_without_stack_drops():
     nic = SimpleNic(sim, net, IPAddr("10.0.0.1"))
     nic.receive_frame(make_frame())
     assert nic.rx_drops_ring == 1
+
+
+def frames_by_queue(nic, count=2):
+    """*count* frames steered to each of *nic*'s queues: hash distinct
+    destination ports until every queue has enough."""
+    by_queue = {q: [] for q in range(nic.queues)}
+    port = 9000
+    while any(len(frames) < count for frames in by_queue.values()):
+        frame = make_frame(dst_port=port)
+        bucket = by_queue[nic.hasher.queue_for(frame.packet, nic.queues)]
+        if len(bucket) < count:
+            bucket.append(frame)
+        port += 1
+    return by_queue
+
+
+def two_queue_nic(**kwargs):
+    sim = Simulator()
+    net = Network(sim)
+    nic = SimpleNic(sim, net, IPAddr("10.0.0.1"), queues=2, **kwargs)
+    nic.stack = FakeStack(FakeKernel(sim, ncores=2))
+    return nic
+
+
+def test_single_queue_nic_builds_no_hasher():
+    sim = Simulator()
+    nic = SimpleNic(sim, Network(sim), IPAddr("10.0.0.1"))
+    assert nic.queues == 1
+    assert nic.hasher is None
+    assert two_queue_nic().hasher is not None
+
+
+def test_nic_rejects_zero_queues():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        SimpleNic(sim, Network(sim), IPAddr("10.0.0.1"), queues=0)
+
+
+def test_full_ring_drops_only_frames_steered_to_it():
+    nic = two_queue_nic(rx_ring_size=2)
+    by_queue = frames_by_queue(nic, count=3)
+    # Fill queue 0's ring (no task runs, so nothing is released), then
+    # offer one more frame to each queue.
+    for frame in by_queue[0][:2]:
+        nic.receive_frame(frame)
+    nic.receive_frame(by_queue[0][2])
+    assert nic.rx_drops_ring == 1
+    for frame in by_queue[1]:
+        nic.receive_frame(frame)
+    # Queue 1 took two frames and dropped only its own third.
+    assert nic.rx_drops_ring == 2
+    assert nic.rx_ring_used == [2, 2]
+
+
+def test_each_queue_posts_to_its_core_and_releases_its_own_slot():
+    nic = two_queue_nic()
+    by_queue = frames_by_queue(nic, count=2)
+    for q in (0, 1):
+        for frame in by_queue[q]:
+            nic.receive_frame(frame)
+    cpus = nic.stack.kernel.cpus
+    assert [len(cpu.posted) for cpu in cpus] == [2, 2]
+    assert nic.rx_ring_used == [2, 2]
+    # Running a queue-1 task's action (its ring release) frees one
+    # slot of queue 1 and none of queue 0.
+    cpus[1].posted[0].action()
+    assert nic.rx_ring_used == [2, 1]
+    cpus[0].posted[0].action()
+    cpus[0].posted[1].action()
+    assert nic.rx_ring_used == [0, 1]
 
 
 def test_transmit_serializes_at_wire_speed():
